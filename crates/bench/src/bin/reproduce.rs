@@ -146,7 +146,7 @@ fn main() -> Result<(), SoleilError> {
         eprintln!(
             "running steady-state perf gate ({observations} observations x 5 implementations)..."
         );
-        let rows = run_steady_state(WARMUP, observations, alloc_probe::allocations)?;
+        let rows = run_steady_state(WARMUP, observations, &alloc_probe::allocations)?;
         println!(
             "steady-state transaction (median ns, allocs/txn, substrate allocs/txn, \
              string compares/txn, Arc clones/txn, deadline misses):"
@@ -181,7 +181,7 @@ fn main() -> Result<(), SoleilError> {
         eprintln!(
             "running steady-state regression gate ({observations} observations x 5 implementations)..."
         );
-        let rows = run_steady_state(WARMUP, observations, alloc_probe::allocations)?;
+        let rows = run_steady_state(WARMUP, observations, &alloc_probe::allocations)?;
         println!(
             "steady-state transaction (median ns, allocs/txn, substrate allocs/txn, \
              string compares/txn, Arc clones/txn, deadline misses):"
@@ -272,7 +272,7 @@ fn main() -> Result<(), SoleilError> {
             "running reconfiguration gate ({TRANSACTIONS} transactions x \
              {TICKS_PER_TXN} ticks, 2 modes + ULTRA-MERGE refusal)..."
         );
-        let rows = run_reconfig_gate(TRANSACTIONS, TICKS_PER_TXN, alloc_probe::allocations)?;
+        let rows = run_reconfig_gate(TRANSACTIONS, TICKS_PER_TXN, &alloc_probe::allocations)?;
         let table = reconfig_gate_table(&rows);
         println!("{table}");
         fs::write(out_dir.join("reconfig_gate.txt"), &table)?;

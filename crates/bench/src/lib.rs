@@ -392,7 +392,7 @@ pub struct SteadyStateRow {
 pub fn run_steady_state(
     warmup: usize,
     observations: usize,
-    heap_allocs: impl Fn() -> u64 + Sync,
+    heap_allocs: &'static (impl Fn() -> u64 + Sync),
 ) -> HarnessResult<Vec<SteadyStateRow>> {
     use std::time::Instant;
 
@@ -466,7 +466,7 @@ pub fn run_steady_state(
         )?);
     }
 
-    rows.push(run_parallel_steady(warmup, observations, &heap_allocs)?);
+    rows.push(run_parallel_steady(warmup, observations, heap_allocs)?);
     Ok(rows)
 }
 
@@ -492,7 +492,7 @@ pub fn baseline_contract() -> TimingContract {
 pub fn run_parallel_steady(
     warmup: usize,
     observations: usize,
-    heap_allocs: impl Fn() -> u64 + Sync,
+    heap_allocs: &'static (impl Fn() -> u64 + Sync),
 ) -> HarnessResult<SteadyStateRow> {
     let arch = motivation_validated()?;
     let probe = ScenarioProbe::new();
@@ -508,7 +508,7 @@ pub fn run_parallel_steady(
     let compares_before = sys.string_compares();
     let arcs_before = sys.arc_clones();
     let misses_before = sys.deadline_misses();
-    let runs = sys.run_ticks_instrumented(0, observations as u64, &heap_allocs)?;
+    let runs = sys.run_ticks_instrumented(0, observations as u64, heap_allocs)?;
     Ok(SteadyStateRow {
         label: "PARALLEL".into(),
         median_ns: runs.iter().map(|r| r.median_tick_ns).max().unwrap_or(0),
@@ -1218,7 +1218,7 @@ fn reconfig_registry() -> ContentRegistry<u64> {
 pub fn run_reconfig_gate(
     transactions: usize,
     ticks_per_txn: u64,
-    heap_allocs: impl Fn() -> u64 + Sync,
+    heap_allocs: &'static (impl Fn() -> u64 + Sync),
 ) -> HarnessResult<Vec<ReconfigGateRow>> {
     let arch = reconfig_fixture()?;
     let mut rows = Vec::with_capacity(2);
@@ -1264,7 +1264,7 @@ pub fn run_reconfig_gate(
         }
 
         // The reconfigured partition must still tick allocation-free.
-        let runs = sys.run_ticks_instrumented(2, ticks_per_txn, &heap_allocs)?;
+        let runs = sys.run_ticks_instrumented(2, ticks_per_txn, heap_allocs)?;
         let stats = sys.stats();
         rows.push(ReconfigGateRow {
             mode: mode.to_string(),
@@ -1712,7 +1712,7 @@ mod tests {
 
     #[test]
     fn parallel_steady_row_reports_motivation_shards() {
-        let row = run_parallel_steady(50, 200, || 0).unwrap();
+        let row = run_parallel_steady(50, 200, &|| 0).unwrap();
         assert_eq!(row.label, "PARALLEL");
         assert_eq!(row.substrate_allocs_per_transaction, 0.0);
         assert_eq!(row.deadline_misses, 0, "generous contract must hold");
@@ -1800,7 +1800,7 @@ mod tests {
 
     #[test]
     fn reconfig_gate_conserves_and_rolls_back() {
-        let rows = run_reconfig_gate(4, 10, || 0).unwrap();
+        let rows = run_reconfig_gate(4, 10, &|| 0).unwrap();
         assert_eq!(rows.len(), 2, "SOLEIL and MERGE-ALL");
         let failures = reconfig_gate_failures(&rows);
         assert!(failures.is_empty(), "reconfig gate failed: {failures:?}");
@@ -1814,7 +1814,7 @@ mod tests {
 
     #[test]
     fn reconfig_gate_failures_catch_a_cooked_row() {
-        let mut rows = run_reconfig_gate(2, 10, || 0).unwrap();
+        let mut rows = run_reconfig_gate(2, 10, &|| 0).unwrap();
         rows[0].pushed += 1; // simulate a silently lost message
         rows[1].rollback_identical = false;
         let failures = reconfig_gate_failures(&rows);

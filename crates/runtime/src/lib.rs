@@ -67,6 +67,7 @@
 pub mod deploy;
 pub mod footprint;
 pub mod instrument;
+mod lease;
 pub mod parallel;
 pub mod sim;
 pub mod spec;

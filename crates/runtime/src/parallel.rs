@@ -24,8 +24,16 @@
 //!    engine-local exchange buffers — the carrier is chosen here, at build
 //!    time, exactly like RTSJ's `WaitFreeWriteQueue` sits between a
 //!    no-heap producer and a heap consumer.
-//! 3. **Execution.** [`ParallelSystem::run_ticks`] spawns one OS thread
-//!    per shard ([`std::thread::scope`]); each thread releases its own
+//! 3. **Execution.** Every shard ticks on its own persistent worker
+//!    thread, never the caller's. On its first run the deployment leases
+//!    one thread per shard from a process-wide idle-thread cache
+//!    (spawning only when the cache is empty) and keeps it for its whole
+//!    life; each [`ParallelSystem::run_ticks`] call moves every shard to
+//!    its worker by ownership over a bounded channel and takes it back
+//!    the same way, so a call costs two channel hand-offs per shard, not
+//!    a thread spawn and join. Dropping the deployment closes the
+//!    channels and parks its threads back in the cache before `drop`
+//!    returns. A worker releases its shard's
 //!    periodic heads ([`System::run_tick`]) and drains its incoming rings
 //!    (highest consumer priority first) in **batches**: each drain pass
 //!    snapshots a ring's published head once and pops the whole visible
@@ -36,13 +44,18 @@
 //!    *before* every cross push and decremented **batch-wise** after the
 //!    batch's activations complete (later-than-necessary decrements are
 //!    conservative), so `all ticks done ∧ in-flight == 0` still proves no
-//!    message exists anywhere — only then do the workers exit.
+//!    message exists anywhere — only then do the workers hand their
+//!    shards back. A panic on a worker is caught there: the run fails
+//!    with a typed error naming the shard, and the deployment is
+//!    *poisoned* — later runs and reconfigurations refuse.
 //!    Steady-state ticks allocate nothing on any thread: rings, slabs and
 //!    scope stacks are provisioned at build/warmup time.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SendError, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::ThreadId;
 use std::time::Instant;
 
@@ -57,10 +70,13 @@ use soleil_membrane::monitor::LatencySnapshot;
 use soleil_membrane::FrameworkError;
 use soleil_patterns::spsc::{spsc_ring, SpscConsumer};
 
+use crate::lease::{self, Idle};
 use crate::spec::{
     AreaSpec, BindingSpec, ComponentSpec, DomainSpec, Mode, ProtocolSpec, SystemSpec,
 };
-use crate::system::{AsyncRepointUndo, CrossOutput, EngineStats, FaultPolicy, MonitorSlot, System};
+use crate::system::{
+    panic_detail, AsyncRepointUndo, CrossOutput, EngineStats, FaultPolicy, MonitorSlot, System,
+};
 use crate::timer::TimerHandle;
 
 // ---------------------------------------------------------------------------
@@ -238,7 +254,8 @@ fn resort_incoming<P: Payload>(shard: &mut Shard<P>) {
 pub struct ShardRun {
     /// Shard label (its thread-domain names joined with `+`).
     pub label: String,
-    /// The OS thread the shard ticked on.
+    /// The OS thread the shard ticked on: its leased worker, the same
+    /// one for every run of a deployment.
     pub thread: ThreadId,
     /// Measured ticks driven.
     pub ticks: u64,
@@ -280,7 +297,15 @@ pub struct ParallelSystem<P: Payload> {
     name: String,
     mode: Mode,
     shards: Vec<Shard<P>>,
-    in_flight: Arc<AtomicU64>,
+    /// The run control block shared with the workers, reset at the start
+    /// of every run; it owns the in-flight quiescence counter.
+    ctl: Arc<Ctl>,
+    /// One leased worker per shard (same order), empty until the first
+    /// run.
+    workers: Vec<Worker<P>>,
+    /// Set when a shard worker panicked: the root cause every later run
+    /// and reconfiguration refuses with.
+    poisoned: Option<String>,
     /// The global spec, kept in lock-step with every committed
     /// reconfiguration (commit-time `check()` runs against it, and
     /// teardown-and-redeploy equivalence is defined by it).
@@ -534,8 +559,10 @@ impl<P: Payload> ParallelSystem<P> {
         Ok(ParallelSystem {
             name: spec.name.clone(),
             mode,
+            ctl: Arc::new(Ctl::new(shards.len(), in_flight)),
             shards,
-            in_flight,
+            workers: Vec::new(),
+            poisoned: None,
             spec: spec.clone(),
             comp_slot,
             carriers,
@@ -554,7 +581,8 @@ impl<P: Payload> ParallelSystem<P> {
         self.mode
     }
 
-    /// Number of shards (independent engines / OS threads per tick run).
+    /// Number of shards (independent engines, each ticking on its own
+    /// leased worker thread).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -932,13 +960,14 @@ impl<P: Payload> ParallelSystem<P> {
     }
 
     /// Releases every periodic head of every shard `ticks` times, each
-    /// shard on its own OS thread, then runs cross-shard traffic to
-    /// quiescence. Equivalent to [`run_ticks_instrumented`] with no warmup
-    /// and a constant probe.
+    /// shard on its own leased worker thread, then runs cross-shard
+    /// traffic to quiescence. Equivalent to [`run_ticks_instrumented`]
+    /// with no warmup and a constant probe.
     ///
     /// # Errors
     ///
-    /// The first engine error from any shard aborts the run everywhere.
+    /// The first engine error from any shard aborts the run everywhere;
+    /// see [`run_ticks_instrumented`] for panics and poisoning.
     ///
     /// [`run_ticks_instrumented`]: Self::run_ticks_instrumented
     pub fn run_ticks(&mut self, ticks: u64) -> Result<Vec<ShardRun>, FrameworkError> {
@@ -950,62 +979,120 @@ impl<P: Payload> ParallelSystem<P> {
     /// `ticks` measured ticks with per-tick timing. `probe` is sampled on
     /// each shard's own thread around the measured phase — pass a
     /// per-thread allocation counter to gate the steady state at 0
-    /// allocations, as `soleil-bench` does.
+    /// allocations, as `soleil-bench` does. The probe is `'static`
+    /// because the shards' worker threads outlive the call: a reference
+    /// to a fn item or to a non-capturing closure qualifies.
+    ///
+    /// The first run leases one persistent worker thread per shard from
+    /// a process-wide idle-thread cache; every later run reuses the same
+    /// threads ([`ShardRun::thread`] stays put), and dropping the
+    /// deployment parks them back in the cache for the next deployment.
     ///
     /// # Errors
     ///
-    /// The first engine error from any shard aborts the run everywhere.
+    /// * The first engine error from any shard aborts the run everywhere
+    ///   ([`FrameworkError::RunToCompletion`] naming that shard).
+    /// * A panic on a shard's thread (in an engine or in `probe`) aborts
+    ///   the run the same way, never the caller, and poisons the
+    ///   deployment: this and every later run, and every
+    ///   [`reconfigure`](Self::reconfigure), refuses with
+    ///   [`FrameworkError::RunToCompletion`].
+    /// * The OS refused to start a worker thread.
     pub fn run_ticks_instrumented<F>(
         &mut self,
         warmup: u64,
         ticks: u64,
-        probe: &F,
+        probe: &'static F,
     ) -> Result<Vec<ShardRun>, FrameworkError>
     where
-        F: Fn() -> u64 + Sync,
+        F: Fn() -> u64 + Sync + 'static,
     {
-        let ctl = Ctl {
-            n: self.shards.len(),
-            abort: AtomicBool::new(false),
-            warmup_done: AtomicUsize::new(0),
-            measure_gate: AtomicUsize::new(0),
-            ticks_done: AtomicUsize::new(0),
-            in_flight: Arc::clone(&self.in_flight),
-            fault: Mutex::new(None),
-        };
-        let ctl = &ctl;
-        let results: Vec<Result<ShardRun, FrameworkError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(shard_ix, shard)| {
-                    scope.spawn(move || {
-                        let label = shard.label.clone();
-                        let out = shard_worker(shard, ctl, warmup, ticks, probe);
-                        if let Err(e) = &out {
-                            ctl.record_fault(shard_ix, &label, e);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
+        self.dispatch(Order::Run {
+            warmup,
+            ticks,
+            probe,
+        })
+    }
+
+    /// Hands every shard to its worker with `order`, waits for all of them
+    /// to hand their shard back, and returns the runs in shard order
+    /// (none for [`Order::Drain`]). The single execution path of
+    /// [`run_ticks_instrumented`](Self::run_ticks_instrumented) and
+    /// [`quiesce`](Self::quiesce).
+    fn dispatch(&mut self, order: Order) -> Result<Vec<ShardRun>, FrameworkError> {
+        self.check_poisoned()?;
+        self.ctl.reset();
+        while self.workers.len() < self.shards.len() {
+            let worker = Worker::lease(self.workers.len(), &self.ctl).map_err(|e| {
+                FrameworkError::RunToCompletion(format!("cannot start a shard worker: {e}"))
+            })?;
+            self.workers.push(worker);
+        }
+        // Shards travel by ownership and come back, in order, into the
+        // same Vec: no per-call allocation beyond the returned runs.
+        let mut shards = std::mem::take(&mut self.shards);
+        let mut stranded = Vec::new();
+        let mut sent = 0;
+        {
+            let mut pending = shards.drain(..);
+            for (ix, worker) in self.workers.iter().enumerate() {
+                let Some(shard) = pending.next() else { break };
+                if let Err(SendError(job)) = worker.jobs.send(Job { shard, order }) {
+                    let gone = FrameworkError::RunToCompletion("its worker thread is gone".into());
+                    self.ctl.record_fault(ix, &job.shard.label, &gone);
+                    stranded.push(job.shard);
+                    stranded.extend(pending);
+                    break;
+                }
+                sent += 1;
+            }
+        }
+        let mut runs = Vec::with_capacity(match order {
+            Order::Run { .. } => sent,
+            Order::Drain => 0,
         });
+        let mut failed = !stranded.is_empty();
+        for (ix, worker) in self.workers[..sent].iter().enumerate() {
+            let Ok(done) = worker.done.recv() else {
+                // Unreachable while jobs run under `catch_unwind`: only a
+                // thread unwinding outside a job drops its reply sender.
+                self.poisoned
+                    .get_or_insert_with(|| format!("shard {ix}'s worker thread died"));
+                failed = true;
+                continue;
+            };
+            if let Some(detail) = done.panic {
+                self.poisoned.get_or_insert_with(|| {
+                    format!("shard {ix} ('{}') panicked: {detail}", done.shard.label)
+                });
+            }
+            match done.out {
+                Ok(Some(run)) => runs.push(run),
+                Ok(None) => {}
+                Err(_) => failed = true,
+            }
+            shards.push(done.shard);
+        }
+        shards.append(&mut stranded);
+        self.shards = shards;
         // On abort every shard returns an error, but only one of them is
         // the root cause — surface that one (with its shard named), never
         // whichever sibling happened to come first in shard order.
-        if results.iter().any(|r| r.is_err()) {
-            return Err(ctl.aborted());
-        }
-        let mut runs = Vec::with_capacity(results.len());
-        for r in results {
-            runs.push(r.expect("checked above"));
+        if failed {
+            return Err(self.ctl.aborted());
         }
         Ok(runs)
+    }
+
+    /// Refuses with the root cause once a shard worker has panicked.
+    fn check_poisoned(&self) -> Result<(), FrameworkError> {
+        match &self.poisoned {
+            Some(cause) => Err(FrameworkError::RunToCompletion(format!(
+                "deployment '{}' is poisoned: {cause}",
+                self.name
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// Tears every shard down (see [`System::shutdown`]).
@@ -1038,11 +1125,12 @@ impl<P: Payload> ParallelSystem<P> {
     /// Drives every shard to a quiescence epoch: no message in flight, no
     /// message in any cross-domain ring. Between parallel runs the
     /// partition is normally already quiescent (run-to-completion drains
-    /// before workers exit), so the fast path is two loads; otherwise the
-    /// shards' own drain loops run — on each shard's data, priority order
-    /// preserved — until the in-flight counter proves global silence.
+    /// before workers hand their shards back), so the fast path is two
+    /// loads; otherwise the shards' own drain loops run on their workers
+    /// — on each shard's data, priority order preserved — until the
+    /// in-flight counter proves global silence.
     fn quiesce(&mut self) -> Result<(), FrameworkError> {
-        if self.in_flight.load(Ordering::SeqCst) == 0
+        if self.ctl.in_flight.load(Ordering::SeqCst) == 0
             && self
                 .shards
                 .iter()
@@ -1050,42 +1138,7 @@ impl<P: Payload> ParallelSystem<P> {
         {
             return Ok(());
         }
-        let ctl = Ctl {
-            n: self.shards.len(),
-            abort: AtomicBool::new(false),
-            warmup_done: AtomicUsize::new(0),
-            measure_gate: AtomicUsize::new(0),
-            ticks_done: AtomicUsize::new(0),
-            in_flight: Arc::clone(&self.in_flight),
-            fault: Mutex::new(None),
-        };
-        let ctl = &ctl;
-        let failed = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(shard_ix, shard)| {
-                    scope.spawn(move || {
-                        let label = shard.label.clone();
-                        let mut ds = DrainStats::default();
-                        ctl.warmup_done.fetch_add(1, Ordering::SeqCst);
-                        let out = drain_until_quiescent(shard, ctl, &ctl.warmup_done, &mut ds);
-                        if let Err(e) = &out {
-                            ctl.record_fault(shard_ix, &label, e);
-                        }
-                        out.is_err()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .any(|h| h.join().expect("quiescence drainer panicked"))
-        });
-        if failed {
-            return Err(ctl.aborted());
-        }
-        Ok(())
+        self.dispatch(Order::Drain).map(drop)
     }
 
     /// Runs a reconfiguration transaction against the live partition: the
@@ -1108,6 +1161,8 @@ impl<P: Payload> ParallelSystem<P> {
     ///
     /// * [`FrameworkError::Unsupported`] under ULTRA-MERGE (purely
     ///   static).
+    /// * [`FrameworkError::RunToCompletion`] once a shard worker panic
+    ///   has poisoned the deployment.
     /// * The quiescence drain's error if a shard faults on a buffered
     ///   message.
     /// * The closure's error, after rollback.
@@ -1122,6 +1177,7 @@ impl<P: Payload> ParallelSystem<P> {
                 "ULTRA-MERGE systems are purely static".into(),
             ));
         }
+        self.check_poisoned()?;
         self.quiesce()?;
         let mut txn = ParallelReconfiguration {
             sys: self,
@@ -2169,6 +2225,9 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
 // The per-shard worker
 // ---------------------------------------------------------------------------
 
+/// The run control block: one per deployment, shared with its workers and
+/// reset by [`ParallelSystem::dispatch`] before every run (the previous
+/// run's workers have all handed their shards back by then).
 struct Ctl {
     n: usize,
     abort: AtomicBool,
@@ -2184,10 +2243,32 @@ struct Ctl {
 }
 
 impl Ctl {
+    fn new(n: usize, in_flight: Arc<AtomicU64>) -> Ctl {
+        Ctl {
+            n,
+            abort: AtomicBool::new(false),
+            warmup_done: AtomicUsize::new(0),
+            measure_gate: AtomicUsize::new(0),
+            ticks_done: AtomicUsize::new(0),
+            in_flight,
+            fault: Mutex::new(None),
+        }
+    }
+
+    /// Clears the previous run's rendezvous counters, abort flag and root
+    /// cause (the in-flight counter is deployment-wide and stays).
+    fn reset(&self) {
+        self.abort.store(false, Ordering::SeqCst);
+        self.warmup_done.store(0, Ordering::SeqCst);
+        self.measure_gate.store(0, Ordering::SeqCst);
+        self.ticks_done.store(0, Ordering::SeqCst);
+        *self.fault.lock().unwrap_or_else(PoisonError::into_inner) = None;
+    }
+
     /// Records the run's root cause (first writer wins) and raises the
     /// abort flag that stops every sibling at its next check.
     fn record_fault(&self, shard_ix: usize, label: &str, error: &FrameworkError) {
-        let mut slot = self.fault.lock().expect("fault slot poisoned");
+        let mut slot = self.fault.lock().unwrap_or_else(PoisonError::into_inner);
         if slot.is_none() {
             *slot = Some((shard_ix, label.to_string(), error.to_string()));
         }
@@ -2198,7 +2279,7 @@ impl Ctl {
     /// The abort error siblings observe: names the originating shard and
     /// its first root-cause error, not just "a sibling shard".
     fn aborted(&self) -> FrameworkError {
-        let slot = self.fault.lock().expect("fault slot poisoned");
+        let slot = self.fault.lock().unwrap_or_else(PoisonError::into_inner);
         match &*slot {
             Some((ix, label, cause)) => FrameworkError::RunToCompletion(format!(
                 "parallel run aborted by shard {ix} ('{label}'): {cause}"
@@ -2206,6 +2287,109 @@ impl Ctl {
             None => {
                 FrameworkError::RunToCompletion("parallel run aborted by a sibling shard".into())
             }
+        }
+    }
+}
+
+/// What a worker does with the shard it is handed.
+#[derive(Clone, Copy)]
+enum Order {
+    /// [`shard_worker`]: warmup, measured ticks, quiescence.
+    Run {
+        warmup: u64,
+        ticks: u64,
+        probe: &'static (dyn Fn() -> u64 + Sync),
+    },
+    /// Drain the shard's rings until global quiescence.
+    Drain,
+}
+
+struct Job<P: Payload> {
+    shard: Shard<P>,
+    order: Order,
+}
+
+/// A worker's reply: the shard, always handed back, its outcome, and the
+/// panic message if the job panicked.
+struct Done<P: Payload> {
+    shard: Shard<P>,
+    out: Result<Option<ShardRun>, FrameworkError>,
+    panic: Option<String>,
+}
+
+/// The deployment's end of one leased worker thread: a bounded channel
+/// each way, one shard in flight at a time.
+struct Worker<P: Payload> {
+    jobs: SyncSender<Job<P>>,
+    done: Receiver<Done<P>>,
+}
+
+impl<P: Payload> Worker<P> {
+    /// Leases a thread to serve shard `ix` until the deployment drops.
+    fn lease(ix: usize, ctl: &Arc<Ctl>) -> std::io::Result<Worker<P>> {
+        let (jobs, job_rx) = sync_channel(1);
+        let (done_tx, done) = sync_channel(1);
+        let ctl = Arc::clone(ctl);
+        lease::lease(Box::new(move |idle| serve(ix, &ctl, job_rx, done_tx, idle)))?;
+        Ok(Worker { jobs, done })
+    }
+}
+
+/// A leased thread's loop: run each job under `catch_unwind`, so the
+/// shard always goes back to the caller.
+fn serve<P: Payload>(
+    ix: usize,
+    ctl: &Ctl,
+    jobs: Receiver<Job<P>>,
+    done: SyncSender<Done<P>>,
+    idle: Idle,
+) {
+    let mut nanos = Vec::new();
+    while let Ok(Job { mut shard, order }) = jobs.recv() {
+        let caught = catch_unwind(AssertUnwindSafe(|| match order {
+            Order::Run {
+                warmup,
+                ticks,
+                probe,
+            } => shard_worker(&mut shard, ctl, warmup, ticks, probe, &mut nanos).map(Some),
+            Order::Drain => {
+                ctl.warmup_done.fetch_add(1, Ordering::SeqCst);
+                let mut ds = DrainStats::default();
+                drain_until_quiescent(&mut shard, ctl, &ctl.warmup_done, &mut ds).map(|()| None)
+            }
+        }));
+        let (out, panic) = match caught {
+            Ok(out) => (out, None),
+            Err(payload) => {
+                let detail = panic_detail(payload);
+                let e = FrameworkError::RunToCompletion(format!("shard worker panicked: {detail}"));
+                (Err(e), Some(detail))
+            }
+        };
+        if let Err(e) = &out {
+            ctl.record_fault(ix, &shard.label, e);
+        }
+        if done.send(Done { shard, out, panic }).is_err() {
+            break;
+        }
+    }
+    // The deployment dropped: park the thread before closing the reply
+    // channel, which the deployment's `drop` waits on.
+    drop(idle);
+    drop(done);
+}
+
+impl<P: Payload> Drop for ParallelSystem<P> {
+    /// Closes every worker's job channel and waits until each has parked
+    /// its thread back in the idle cache.
+    fn drop(&mut self) {
+        let (jobs, dones): (Vec<_>, Vec<_>) =
+            self.workers.drain(..).map(|w| (w.jobs, w.done)).unzip();
+        drop(jobs);
+        for done in dones {
+            // No reply is pending between runs: this returns (with an
+            // error) once the worker has parked and dropped its sender.
+            let _ = done.recv();
         }
     }
 }
@@ -2295,16 +2479,16 @@ fn gate(counter: &AtomicUsize, ctl: &Ctl) -> Result<(), FrameworkError> {
     Ok(())
 }
 
-fn shard_worker<P: Payload, F>(
+/// One shard's run on its worker thread. `nanos` is the worker's sample
+/// buffer, reused across runs.
+fn shard_worker<P: Payload>(
     shard: &mut Shard<P>,
     ctl: &Ctl,
     warmup: u64,
     ticks: u64,
-    probe: &F,
-) -> Result<ShardRun, FrameworkError>
-where
-    F: Fn() -> u64 + Sync,
-{
+    probe: &(dyn Fn() -> u64 + Sync),
+    nanos: &mut Vec<u64>,
+) -> Result<ShardRun, FrameworkError> {
     let thread = std::thread::current().id();
     let mut ds = DrainStats::default();
 
@@ -2322,7 +2506,8 @@ where
 
     // Phase 2: measured ticks. The sample buffer exists before the probe
     // baseline is read, so the measured region itself allocates nothing.
-    let mut nanos: Vec<u64> = Vec::with_capacity(ticks as usize);
+    nanos.clear();
+    nanos.reserve(ticks as usize);
     let substrate_before = shard.system.memory().alloc_count();
     let probe_before = probe();
     for _ in 0..ticks {
@@ -2736,6 +2921,44 @@ mod tests {
                  content error: boom"
             )
         );
+    }
+
+    /// A panic on a shard's worker thread (here in the caller's probe)
+    /// fails the run with a typed error naming a shard instead of
+    /// panicking the caller, poisons the deployment, and still lets it
+    /// drop without hanging.
+    #[test]
+    fn worker_panic_is_a_typed_error_and_poisons_the_deployment() {
+        let probe = ThreadProbe::default();
+        let mut sys =
+            ParallelSystem::build(&fan_spec(), Mode::MergeAll, &registry(&probe)).unwrap();
+        sys.run_ticks(2).unwrap();
+        let err = sys
+            .run_ticks_instrumented(0, 3, &|| -> u64 { panic!("probe exploded") })
+            .unwrap_err();
+        let FrameworkError::RunToCompletion(msg) = &err else {
+            panic!("expected a run-to-completion error, got {err:?}");
+        };
+        assert!(msg.contains("parallel run aborted by shard "), "{msg}");
+        assert!(
+            msg.contains("shard worker panicked: probe exploded"),
+            "{msg}"
+        );
+        // Every shard came back to the deployment.
+        assert_eq!(sys.shard_count(), 3);
+        assert_eq!(sys.stats().dropped_messages, 0);
+
+        for refused in [
+            sys.run_ticks(1).unwrap_err(),
+            sys.reconfigure(|_txn| Ok(())).unwrap_err(),
+        ] {
+            let FrameworkError::RunToCompletion(m) = &refused else {
+                panic!("expected a run-to-completion refusal, got {refused:?}");
+            };
+            assert!(m.contains("deployment 'fan' is poisoned: shard "), "{m}");
+            assert!(m.ends_with("panicked: probe exploded"), "{m}");
+        }
+        drop(sys);
     }
 
     /// Tentpole: a panic injected into one shard under `Isolate` leaves

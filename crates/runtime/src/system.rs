@@ -3830,7 +3830,7 @@ impl<P: Payload> System<P> {
 /// Renders a caught panic payload for the typed fault's detail text:
 /// `panic!` string payloads pass through, anything else gets a stable
 /// placeholder (payload types are open-ended).
-fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
+pub(crate) fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
