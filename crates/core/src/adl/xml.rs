@@ -5,6 +5,7 @@
 //! Deliberately hand-written — the ADL is the paper's artifact, and keeping
 //! the parser in-tree avoids an external XML dependency.
 
+use crate::json::MAX_DEPTH;
 use crate::{ModelError, Result};
 
 /// A parsed element: name, attributes and child elements.
@@ -230,8 +231,13 @@ impl<'a> Lexer<'a> {
         Err(self.err("unterminated attribute value"))
     }
 
-    /// Parses one element, positioned at its '<'.
-    fn parse_element(&mut self) -> Result<XmlNode> {
+    /// Parses one element, positioned at its '<'; `depth` counts its
+    /// enclosing elements, capped at [`MAX_DEPTH`] so a deeply nested
+    /// document is refused instead of overflowing the stack.
+    fn parse_element(&mut self, depth: usize) -> Result<XmlNode> {
+        if depth >= MAX_DEPTH {
+            return Err(self.err(format!("element nesting exceeds {MAX_DEPTH} levels")));
+        }
         if self.bump() != Some(b'<') {
             return Err(self.err("expected '<'"));
         }
@@ -296,7 +302,7 @@ impl<'a> Lexer<'a> {
                 }
                 return Ok(node);
             }
-            node.children.push(self.parse_element()?);
+            node.children.push(self.parse_element(depth + 1)?);
         }
     }
 }
@@ -329,7 +335,7 @@ pub fn parse_document(input: &str) -> Result<Vec<XmlNode>> {
             }
             continue;
         }
-        nodes.push(lexer.parse_element()?);
+        nodes.push(lexer.parse_element(0)?);
     }
 }
 
@@ -390,6 +396,21 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let nested = |levels: usize| "<A>\n".repeat(levels) + &"</A>".repeat(levels);
+        match parse_document(&nested(200_000)).unwrap_err() {
+            ModelError::Parse { line, detail } => {
+                assert_eq!(line, MAX_DEPTH + 1, "{detail}");
+                assert!(detail.contains("nesting exceeds"), "{detail}");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        // One level under the cap still parses.
+        let nodes = parse_document(&nested(MAX_DEPTH - 1)).unwrap();
+        assert_eq!(nodes.len(), 1);
     }
 
     #[test]

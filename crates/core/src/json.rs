@@ -188,9 +188,10 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Maximum container nesting the parser accepts; deeper documents are
-/// refused with a parse error instead of overflowing the stack.
-const MAX_DEPTH: usize = 128;
+/// Maximum container nesting the parser accepts — and, for ADL/XML
+/// documents, the maximum element nesting; deeper documents are refused
+/// with a parse error instead of overflowing the stack.
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// Parses a JSON document (the subset described in the module docs).
 ///

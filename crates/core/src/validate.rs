@@ -405,22 +405,6 @@ pub fn validate(arch: &Architecture) -> ValidationReport {
     report
 }
 
-/// The commit-time rule set for reconfiguration transactions against a
-/// **parallel** deployment: the full conformance catalog ([`validate`])
-/// folded together with the parallel-coupling advisory
-/// ([`parallel_coupling`]). A live reconfigure of a sharded system
-/// re-validates against this before committing — the SOL-015 findings
-/// matter there because a binding that newly couples two ThreadDomains
-/// must still fit the shard partition that was settled at build time (the
-/// runtime refuses the operation; the merged report documents *why* the
-/// coupling exists). Compliance is judged by [`validate`]'s errors alone:
-/// the advisories are informational here as everywhere else.
-pub fn parallel_reconfiguration_report(arch: &Architecture) -> ValidationReport {
-    let mut report = validate(arch);
-    report.merge(parallel_coupling(arch));
-    report
-}
-
 /// The parallel-sharding advisory (rule **SOL-015**, informational, not
 /// part of [`validate`]): reports every construct that *serializes* a pair
 /// of ThreadDomains into one engine shard under the parallel runtime —
@@ -445,7 +429,9 @@ pub fn parallel_reconfiguration_report(arch: &Architecture) -> ValidationReport 
 ///
 /// An empty report means every ThreadDomain can tick on its own OS
 /// thread. Each finding suggests the asynchronous/replicated alternative
-/// that would decouple the pair.
+/// that would decouple the pair. A refused reconfiguration commit merges
+/// these findings into its rejection report to explain the refusal;
+/// compliance is decided by [`validate`] alone.
 pub fn parallel_coupling(arch: &Architecture) -> ValidationReport {
     let mut report = ValidationReport::default();
     let domain_of = |id: ComponentId| arch.thread_domain_of(id).map(|(d, _)| d);

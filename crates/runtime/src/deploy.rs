@@ -1,9 +1,11 @@
 //! The typed deployment handle: resolved component tokens and
 //! transactional reconfiguration.
 //!
-//! A [`Deployment`] wraps a running [`System`] together with the validated
-//! architecture it was generated from. It fixes the two structural
-//! weaknesses of driving a `System` directly:
+//! A [`Deployment`] is the sharded engine ([`ParallelSystem`]) on a
+//! **one-shard plan**: every component on shard 0, no rings, the shard
+//! engine keeping the spec's own name. It pairs that engine with the
+//! validated architecture it was generated from and fixes the two
+//! structural weaknesses of driving a `System` directly:
 //!
 //! * **Stringly-typed hot paths** — `slot_of("name")` and per-call port
 //!   resolution are replaced by [`ComponentRef`]/[`PortRef`] tokens,
@@ -21,10 +23,26 @@
 //!   error or a validator refusal) rolls everything back — engine,
 //!   membranes and the architectural model.
 //!
+//! Reconfiguration runs on the sharded engine's transaction:
+//! [`Reconfiguration`] is a typed wrapper over [`ParallelReconfiguration`]
+//! that turns each `ComponentRef` into a global component index and calls
+//! the same operation body the name-addressed API calls — one journal,
+//! one rollback, one commit path. Commit compliance is decided by the
+//! design-time validator alone; the SOL-015 coupling advisory is computed
+//! only when a commit is refused. The hot path ([`run_transaction`],
+//! [`run_tick`], [`inject`], the timer calls) runs inline on the shard's
+//! engine on the caller's thread and never leases a worker.
+//!
 //! Tokens are deployment-scoped: every `ComponentRef`/`PortRef` carries the
 //! identity of the deployment that minted it, so a token from one
 //! deployment is refused by another instead of silently addressing the
 //! wrong slot.
+//!
+//! [`run_transaction`]: Deployment::run_transaction
+//! [`run_tick`]: Deployment::run_tick
+//! [`inject`]: Deployment::inject
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -32,17 +50,16 @@ use rtsj::memory::MemoryManager;
 use rtsj::thread::{Priority, ThreadKind};
 use rtsj::time::AbsoluteTime;
 use soleil_core::contract::TimingContract;
-use soleil_core::model::{ComponentId, ComponentKind, Protocol};
-use soleil_core::validate::validate;
 use soleil_core::{Architecture, ValidationReport};
 use soleil_membrane::content::{ContentRegistry, Payload};
-use soleil_membrane::interceptors::{FaultInjector, InterceptStep};
+use soleil_membrane::interceptors::FaultInjector;
 use soleil_membrane::monitor::LatencySnapshot;
 use soleil_membrane::FrameworkError;
 
 use crate::footprint::FootprintReport;
+use crate::parallel::{ParallelReconfiguration, ParallelSystem};
 use crate::spec::{Mode, SystemSpec};
-use crate::system::{EngineStats, FaultPolicy, MembraneInfo, MonitorSlot, System};
+use crate::system::{EngineStats, FaultPolicy, MembraneInfo, System};
 use crate::timer::TimerHandle;
 
 /// Mints a fresh deployment identity (token-scoping nonce).
@@ -65,22 +82,34 @@ pub struct PortRef {
     port_ix: u16,
 }
 
+/// The engine slot a token addresses, once it is checked to come from
+/// deployment `nonce`. On a one-shard plan the slot is also the
+/// component's global index, the address the shared transaction bodies
+/// take.
+fn slot_of(nonce: u32, r: ComponentRef) -> Result<usize, FrameworkError> {
+    if r.deployment != nonce {
+        return Err(FrameworkError::Content(
+            "component ref was minted by a different deployment".into(),
+        ));
+    }
+    Ok(r.slot as usize)
+}
+
 /// A deployed, runnable system with its architecture kept alive for
 /// transactional reconfiguration. See the [module docs](self).
 pub struct Deployment<P: Payload> {
     nonce: u32,
-    system: System<P>,
-    arch: Architecture,
-    /// Engine slot → architecture component, resolved once at deploy time.
-    ids: Vec<ComponentId>,
+    /// The sharded engine on a one-shard plan; it also owns the
+    /// architecture, kept in lock-step by reconfiguration.
+    engine: ParallelSystem<P>,
 }
 
 impl<P: Payload> std::fmt::Debug for Deployment<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Deployment")
-            .field("name", &self.system.name())
-            .field("mode", &self.system.mode())
-            .field("components", &self.ids.len())
+            .field("name", &self.name())
+            .field("mode", &self.mode())
+            .field("components", &self.sys().node_count())
             .finish()
     }
 }
@@ -103,23 +132,19 @@ impl<P: Payload> Deployment<P> {
         registry: &ContentRegistry<P>,
         arch: Architecture,
     ) -> Result<Deployment<P>, FrameworkError> {
-        let system = System::build(spec, mode, registry)?;
-        let mut ids = Vec::with_capacity(system.node_count());
-        for slot in 0..system.node_count() {
-            let name = system.node_name(slot);
-            let id = arch.id_of(name).map_err(|_| {
-                FrameworkError::Content(format!(
-                    "architecture does not describe deployed component '{name}'"
-                ))
-            })?;
-            ids.push(id);
-        }
         Ok(Deployment {
             nonce: NEXT_DEPLOYMENT.fetch_add(1, Ordering::Relaxed),
-            system,
-            arch,
-            ids,
+            engine: ParallelSystem::build_inner(spec, mode, registry, Some(arch), true)?,
         })
+    }
+
+    /// The one shard's engine.
+    fn sys(&self) -> &System<P> {
+        self.engine.shard_system(0)
+    }
+
+    fn sys_mut(&mut self) -> &mut System<P> {
+        self.engine.shard_system_mut(0)
     }
 
     /// Resolves a component name to its token — once, at the cold edge;
@@ -129,11 +154,15 @@ impl<P: Payload> Deployment<P> {
     ///
     /// [`FrameworkError::Content`] for unknown names.
     pub fn resolve(&self, name: &str) -> Result<ComponentRef, FrameworkError> {
-        let slot = self.system.slot_of(name)?;
-        Ok(ComponentRef {
+        Ok(self.token(self.sys().slot_of(name)?))
+    }
+
+    /// The token of an engine slot of this deployment.
+    fn token(&self, slot: usize) -> ComponentRef {
+        ComponentRef {
             deployment: self.nonce,
             slot: slot as u32,
-        })
+        }
     }
 
     /// Resolves a server port of a resolved component to its token.
@@ -144,7 +173,7 @@ impl<P: Payload> Deployment<P> {
     /// [`FrameworkError::Content`] for foreign refs.
     pub fn port(&self, component: ComponentRef, port: &str) -> Result<PortRef, FrameworkError> {
         let slot = self.slot(component)?;
-        let port_ix = self.system.port_ix_of(slot, port)?;
+        let port_ix = self.sys().port_ix_of(slot, port)?;
         Ok(PortRef {
             deployment: self.nonce,
             slot: component.slot,
@@ -155,13 +184,10 @@ impl<P: Payload> Deployment<P> {
     /// Tokens of every periodic component, highest priority first (release
     /// order within one tick).
     pub fn periodic_heads(&self) -> Vec<ComponentRef> {
-        self.system
+        self.sys()
             .periodic_heads()
             .into_iter()
-            .map(|slot| ComponentRef {
-                deployment: self.nonce,
-                slot: slot as u32,
-            })
+            .map(|slot| self.token(slot))
             .collect()
     }
 
@@ -171,16 +197,11 @@ impl<P: Payload> Deployment<P> {
     ///
     /// [`FrameworkError::Content`] for foreign refs.
     pub fn name_of(&self, component: ComponentRef) -> Result<&str, FrameworkError> {
-        Ok(self.system.node_name(self.slot(component)?))
+        Ok(self.sys().node_name(self.slot(component)?))
     }
 
     fn slot(&self, r: ComponentRef) -> Result<usize, FrameworkError> {
-        if r.deployment != self.nonce {
-            return Err(FrameworkError::Content(
-                "component ref was minted by a different deployment".into(),
-            ));
-        }
-        Ok(r.slot as usize)
+        slot_of(self.nonce, r)
     }
 
     fn port_slot(&self, r: PortRef) -> Result<(usize, u16), FrameworkError> {
@@ -205,7 +226,7 @@ impl<P: Payload> Deployment<P> {
     /// Any framework or substrate error raised along the way.
     pub fn run_transaction(&mut self, head: ComponentRef) -> Result<(), FrameworkError> {
         let slot = self.slot(head)?;
-        self.system.run_transaction(slot)
+        self.sys_mut().run_transaction(slot)
     }
 
     /// Releases every periodic component once, in priority order.
@@ -214,7 +235,7 @@ impl<P: Payload> Deployment<P> {
     ///
     /// The first transaction error aborts the tick.
     pub fn run_tick(&mut self) -> Result<(), FrameworkError> {
-        self.system.run_tick()
+        self.sys_mut().run_tick()
     }
 
     /// Injects an external stimulus on a pre-resolved server port, then
@@ -225,7 +246,7 @@ impl<P: Payload> Deployment<P> {
     /// Any framework or substrate error raised along the way.
     pub fn inject(&mut self, port: PortRef, msg: P) -> Result<(), FrameworkError> {
         let (slot, port_ix) = self.port_slot(port)?;
-        self.system.inject_at(slot, port_ix, msg)
+        self.sys_mut().inject_at(slot, port_ix, msg)
     }
 
     // -----------------------------------------------------------------
@@ -234,66 +255,61 @@ impl<P: Payload> Deployment<P> {
 
     /// The generation mode this deployment runs in.
     pub fn mode(&self) -> Mode {
-        self.system.mode()
+        self.sys().mode()
     }
 
     /// The system name.
     pub fn name(&self) -> &str {
-        self.system.name()
+        self.sys().name()
     }
 
     /// Engine counters.
     pub fn stats(&self) -> EngineStats {
-        self.system.stats()
+        self.sys().stats()
     }
 
     /// Name resolutions performed so far (see [`System::name_lookups`]).
     pub fn name_lookups(&self) -> u64 {
-        self.system.name_lookups()
+        self.sys().name_lookups()
     }
 
     /// String comparisons performed by port dispatch so far (see
     /// [`System::string_compares`]).
     pub fn string_compares(&self) -> u64 {
-        self.system.string_compares()
+        self.sys().string_compares()
     }
 
     /// Arc clones performed by port dispatch so far (see
     /// [`System::arc_clones`]).
     pub fn arc_clones(&self) -> u64 {
-        self.system.arc_clones()
+        self.sys().arc_clones()
     }
 
     /// Direct access to the substrate (experiments, footprint).
     pub fn memory(&self) -> &MemoryManager {
-        self.system.memory()
+        self.sys().memory()
     }
 
     /// Thread-domain roster: name, thread kind and priority per domain.
     pub fn domain_info(&self) -> Vec<(String, ThreadKind, Priority)> {
-        self.system.domain_info()
+        self.sys().domain_info()
     }
 
     /// The footprint report of the running system.
     pub fn footprint(&self) -> FootprintReport {
-        self.system.footprint()
+        self.sys().footprint()
     }
 
     /// The architecture this deployment currently implements — kept in
     /// lock-step by [`reconfigure`](Self::reconfigure), so it always
     /// describes the live bindings.
     pub fn architecture(&self) -> &Architecture {
-        &self.arch
+        self.engine.architecture()
     }
 
     /// The underlying engine (read-only; escape hatch for experiments).
     pub fn system(&self) -> &System<P> {
-        &self.system
-    }
-
-    /// Unwraps the engine, discarding the reconfiguration machinery.
-    pub fn into_system(self) -> System<P> {
-        self.system
+        self.sys()
     }
 
     /// Membrane-level introspection — SOLEIL mode only, per the paper.
@@ -303,7 +319,7 @@ impl<P: Payload> Deployment<P> {
     /// [`FrameworkError::Unsupported`] in the merged modes.
     pub fn membrane_info(&self, component: ComponentRef) -> Result<MembraneInfo, FrameworkError> {
         let slot = self.slot(component)?;
-        self.system.membrane_info_at(slot)
+        self.sys().membrane_info_at(slot)
     }
 
     /// The priority ceiling the validator assigned to a shared passive
@@ -313,8 +329,8 @@ impl<P: Payload> Deployment<P> {
     ///
     /// [`FrameworkError::Content`] for foreign refs.
     pub fn ceiling_of(&self, component: ComponentRef) -> Result<Option<Priority>, FrameworkError> {
-        let slot = self.slot(component)?;
-        self.system.ceiling_of(self.system.node_name(slot))
+        let sys = self.sys();
+        sys.ceiling_of(sys.node_name(self.slot(component)?))
     }
 
     /// Inter-activation gaps recorded by a component's jitter monitor, in
@@ -325,7 +341,7 @@ impl<P: Payload> Deployment<P> {
     /// [`FrameworkError::Unsupported`] in the merged modes.
     pub fn jitter_observations(&self, component: ComponentRef) -> Result<Vec<u64>, FrameworkError> {
         let slot = self.slot(component)?;
-        self.system.jitter_at(slot)
+        self.sys().jitter_at(slot)
     }
 
     /// Installs a jitter monitor in a live membrane (SOLEIL only).
@@ -338,7 +354,7 @@ impl<P: Payload> Deployment<P> {
         component: ComponentRef,
     ) -> Result<(), FrameworkError> {
         let slot = self.slot(component)?;
-        self.system.enable_jitter_at(slot).map(|_| ())
+        self.sys_mut().enable_jitter_at(slot).map(|_| ())
     }
 
     /// Removes a previously installed jitter monitor; true when one was
@@ -352,7 +368,7 @@ impl<P: Payload> Deployment<P> {
         component: ComponentRef,
     ) -> Result<bool, FrameworkError> {
         let slot = self.slot(component)?;
-        self.system.disable_jitter_at(slot)
+        self.sys_mut().disable_jitter_at(slot)
     }
 
     // -----------------------------------------------------------------
@@ -376,13 +392,13 @@ impl<P: Payload> Deployment<P> {
         at: AbsoluteTime,
     ) -> Result<TimerHandle, FrameworkError> {
         let slot = self.slot(head)?;
-        self.system.schedule_release(slot, at)
+        self.sys_mut().schedule_release(slot, at)
     }
 
     /// Cancels a scheduled release; `false` when the handle is stale
     /// (already fired or cancelled) — generation-checked, always safe.
     pub fn cancel_release(&mut self, handle: TimerHandle) -> bool {
-        self.system.cancel_release(handle)
+        self.sys_mut().cancel_release(handle)
     }
 
     /// Advances the engine clock to `now` and fires every due scheduled
@@ -392,17 +408,17 @@ impl<P: Payload> Deployment<P> {
     ///
     /// The first failing fired transaction aborts the advance.
     pub fn fire_timers_until(&mut self, now: AbsoluteTime) -> Result<u64, FrameworkError> {
-        self.system.advance_clock_to(now)
+        self.sys_mut().advance_clock_to(now)
     }
 
     /// The engine's virtual release clock.
     pub fn timer_clock(&self) -> AbsoluteTime {
-        self.system.clock()
+        self.sys().clock()
     }
 
     /// Currently armed (scheduled, unfired, uncancelled) timers.
     pub fn armed_timers(&self) -> usize {
-        self.system.armed_timers()
+        self.sys().armed_timers()
     }
 
     /// Attaches a declarative timing contract to a component (any mode —
@@ -421,7 +437,9 @@ impl<P: Payload> Deployment<P> {
         contract: TimingContract,
     ) -> Result<(), FrameworkError> {
         let slot = self.slot(component)?;
-        self.system.attach_contract_at(slot, contract).map(|_| ())
+        self.sys_mut()
+            .attach_contract_at(slot, contract)
+            .map(|_| ())
     }
 
     /// Detaches a component's timing contract (discarding its recorded
@@ -432,7 +450,7 @@ impl<P: Payload> Deployment<P> {
     /// [`FrameworkError::Content`] for foreign refs.
     pub fn detach_contract(&mut self, component: ComponentRef) -> Result<bool, FrameworkError> {
         let slot = self.slot(component)?;
-        Ok(self.system.detach_contract_at(slot).is_some())
+        Ok(self.sys_mut().detach_contract_at(slot).is_some())
     }
 
     /// The timing contract attached to a component, if any.
@@ -445,7 +463,7 @@ impl<P: Payload> Deployment<P> {
         component: ComponentRef,
     ) -> Result<Option<TimingContract>, FrameworkError> {
         let slot = self.slot(component)?;
-        Ok(self.system.contract_at(slot).cloned())
+        Ok(self.sys().contract_at(slot).cloned())
     }
 
     /// A snapshot of a component's latency monitor (histogram quantiles,
@@ -459,20 +477,20 @@ impl<P: Payload> Deployment<P> {
         component: ComponentRef,
     ) -> Result<Option<LatencySnapshot>, FrameworkError> {
         let slot = self.slot(component)?;
-        Ok(self.system.latency_snapshot_at(slot))
+        Ok(self.sys().latency_snapshot_at(slot))
     }
 
     /// Deadline misses observed across every monitored component (see
     /// [`System::deadline_misses`]).
     pub fn deadline_misses(&self) -> u64 {
-        self.system.deadline_misses()
+        self.sys().deadline_misses()
     }
 
     /// Checks every attached contract against its observations and folds
     /// the verdicts into one report (SOL-016…SOL-019 violations; a
     /// compliant report means every contract holds).
     pub fn contract_report(&self) -> ValidationReport {
-        self.system.contract_report()
+        self.sys().contract_report()
     }
 
     // -----------------------------------------------------------------
@@ -493,7 +511,7 @@ impl<P: Payload> Deployment<P> {
         policy: FaultPolicy,
     ) -> Result<FaultPolicy, FrameworkError> {
         let slot = self.slot(component)?;
-        self.system.set_fault_policy_at(slot, policy)
+        self.sys_mut().set_fault_policy_at(slot, policy)
     }
 
     /// The fault policy declared for a component
@@ -504,7 +522,7 @@ impl<P: Payload> Deployment<P> {
     /// [`FrameworkError::Content`] for foreign refs.
     pub fn fault_policy(&self, component: ComponentRef) -> Result<FaultPolicy, FrameworkError> {
         let slot = self.slot(component)?;
-        Ok(self.system.fault_policy_at(slot))
+        Ok(self.sys().fault_policy_at(slot))
     }
 
     /// True while a component is quarantined by its fault policy.
@@ -514,7 +532,7 @@ impl<P: Payload> Deployment<P> {
     /// [`FrameworkError::Content`] for foreign refs.
     pub fn quarantined(&self, component: ComponentRef) -> Result<bool, FrameworkError> {
         let slot = self.slot(component)?;
-        Ok(self.system.quarantined_at(slot))
+        Ok(self.sys().quarantined_at(slot))
     }
 
     /// Restarts a quarantined component **now** with a fresh content
@@ -526,7 +544,7 @@ impl<P: Payload> Deployment<P> {
     /// [`FrameworkError::Content`] for foreign refs.
     pub fn restart_component(&mut self, component: ComponentRef) -> Result<(), FrameworkError> {
         let slot = self.slot(component)?;
-        self.system.restart_slot(slot)
+        self.sys_mut().restart_slot(slot)
     }
 
     /// Installs an engine-level deterministic [`FaultInjector`] at a
@@ -543,7 +561,7 @@ impl<P: Payload> Deployment<P> {
         injector: FaultInjector,
     ) -> Result<(), FrameworkError> {
         let slot = self.slot(component)?;
-        self.system.install_fault_injector_at(slot, injector)?;
+        self.sys_mut().install_fault_injector_at(slot, injector)?;
         Ok(())
     }
 
@@ -558,7 +576,7 @@ impl<P: Payload> Deployment<P> {
         component: ComponentRef,
     ) -> Result<bool, FrameworkError> {
         let slot = self.slot(component)?;
-        Ok(self.system.remove_fault_injector_at(slot).is_some())
+        Ok(self.sys_mut().remove_fault_injector_at(slot).is_some())
     }
 
     /// `(activations seen, faults injected)` of a component's engine-level
@@ -572,7 +590,7 @@ impl<P: Payload> Deployment<P> {
         component: ComponentRef,
     ) -> Result<Option<(u64, u64)>, FrameworkError> {
         let slot = self.slot(component)?;
-        Ok(self.system.injector_counts_at(slot))
+        Ok(self.sys().injector_counts_at(slot))
     }
 
     /// Supervision counters of a component:
@@ -586,7 +604,7 @@ impl<P: Payload> Deployment<P> {
         component: ComponentRef,
     ) -> Result<(u64, u64, u64), FrameworkError> {
         let slot = self.slot(component)?;
-        Ok(self.system.supervision_counts_at(slot))
+        Ok(self.sys().supervision_counts_at(slot))
     }
 
     /// Declares (or clears, with `None`) a component's supervisor,
@@ -611,15 +629,9 @@ impl<P: Payload> Deployment<P> {
         supervisor: Option<ComponentRef>,
     ) -> Result<Option<ComponentRef>, FrameworkError> {
         let slot = self.slot(component)?;
-        let sup_slot = match supervisor {
-            Some(s) => Some(self.slot(s)?),
-            None => None,
-        };
-        let prev = self.system.set_supervisor_at(slot, sup_slot)?;
-        Ok(prev.map(|s| ComponentRef {
-            deployment: self.nonce,
-            slot: s as u32,
-        }))
+        let sup_slot = supervisor.map(|s| self.slot(s)).transpose()?;
+        let prev = self.sys_mut().set_supervisor_at(slot, sup_slot)?;
+        Ok(prev.map(|s| self.token(s)))
     }
 
     /// A component's declared supervisor, if any.
@@ -632,10 +644,7 @@ impl<P: Payload> Deployment<P> {
         component: ComponentRef,
     ) -> Result<Option<ComponentRef>, FrameworkError> {
         let slot = self.slot(component)?;
-        Ok(self.system.supervisor_of_at(slot).map(|s| ComponentRef {
-            deployment: self.nonce,
-            slot: s as u32,
-        }))
+        Ok(self.sys().supervisor_of_at(slot).map(|s| self.token(s)))
     }
 
     /// The rendered escalation path (`origin -> … -> supervisor`) of the
@@ -651,7 +660,7 @@ impl<P: Payload> Deployment<P> {
         component: ComponentRef,
     ) -> Result<Option<String>, FrameworkError> {
         let slot = self.slot(component)?;
-        Ok(self.system.escalation_path_at(slot))
+        Ok(self.sys().escalation_path_at(slot))
     }
 
     /// Opts a component into the warm-state **Checkpoint capability**: its
@@ -680,13 +689,7 @@ impl<P: Payload> Deployment<P> {
         cadence: u32,
     ) -> Result<(), FrameworkError> {
         let slot = self.slot(component)?;
-        let bytes = self.system.enable_checkpoint_at(slot, cadence)?;
-        let area_ix = self.system.area_ix_at(slot);
-        if let Err(e) = self.system.charge_area(area_ix, bytes) {
-            self.system.disable_checkpoint_at(slot);
-            return Err(e);
-        }
-        Ok(())
+        self.engine.enable_checkpoint_at(0, slot, cadence)
     }
 
     /// True when the Checkpoint capability is enabled for a component.
@@ -696,7 +699,7 @@ impl<P: Payload> Deployment<P> {
     /// [`FrameworkError::Content`] for foreign refs.
     pub fn checkpoint_enabled(&self, component: ComponentRef) -> Result<bool, FrameworkError> {
         let slot = self.slot(component)?;
-        Ok(self.system.checkpoint_enabled_at(slot))
+        Ok(self.sys().checkpoint_enabled_at(slot))
     }
 
     /// `(captures, restores)` of a component's checkpoint storage; `None`
@@ -710,7 +713,7 @@ impl<P: Payload> Deployment<P> {
         component: ComponentRef,
     ) -> Result<Option<(u64, u64)>, FrameworkError> {
         let slot = self.slot(component)?;
-        Ok(self.system.checkpoint_counts_at(slot))
+        Ok(self.sys().checkpoint_counts_at(slot))
     }
 
     /// The full runtime health report: contract verdicts (SOL-016…019)
@@ -719,7 +722,7 @@ impl<P: Payload> Deployment<P> {
     /// counted-dropped at quarantine gates, SOL-023 naming the supervision
     /// path of each contained escalation.
     pub fn health_report(&self) -> ValidationReport {
-        self.system.health_report()
+        self.sys().health_report()
     }
 
     /// Tears the deployment down (see [`System::shutdown`]).
@@ -728,7 +731,7 @@ impl<P: Payload> Deployment<P> {
     ///
     /// Substrate errors releasing pins.
     pub fn shutdown(&mut self) -> Result<(), FrameworkError> {
-        self.system.shutdown()
+        self.sys_mut().shutdown()
     }
 
     // -----------------------------------------------------------------
@@ -754,601 +757,126 @@ impl<P: Payload> Deployment<P> {
         &mut self,
         f: impl FnOnce(&mut Reconfiguration<'_, P>) -> Result<T, FrameworkError>,
     ) -> Result<T, FrameworkError> {
-        if self.system.mode() == Mode::UltraMerge {
-            return Err(FrameworkError::Unsupported(
-                "ULTRA-MERGE systems are purely static".into(),
-            ));
-        }
         let mut txn = Reconfiguration {
-            dep: self,
-            journal: Vec::new(),
-            pending_charges: Vec::new(),
+            nonce: self.nonce,
+            txn: ParallelReconfiguration::begin(&mut self.engine)?,
         };
-        match f(&mut txn) {
-            Ok(value) => {
-                let report = validate(&txn.dep.arch);
-                if report.is_compliant() {
-                    // Commit-time supervision re-validation: every edge
-                    // names a real slot and the tree stays acyclic. Eager
-                    // checks in `set_supervisor` make a failure here a
-                    // framework bug, but transactional commits re-assert
-                    // the invariant like they re-assert the RTSJ rules.
-                    if let Err(e) = txn.dep.system.check_supervision() {
-                        txn.rollback();
-                        return Err(e);
-                    }
-                    // Commit: make the deferred substrate charges (re-homed
-                    // state). A failing charge refuses the transaction;
-                    // charges already made stand — immortal/scoped
-                    // accounting is monotonic, exactly like build.
-                    let charges = std::mem::take(&mut txn.pending_charges);
-                    for (area_ix, bytes) in charges {
-                        if let Err(e) = txn.dep.system.charge_area(area_ix, bytes) {
-                            txn.rollback();
-                            return Err(e);
-                        }
-                    }
-                    Ok(value)
-                } else {
-                    txn.rollback();
-                    Err(FrameworkError::Rejected(report))
-                }
-            }
-            Err(e) => {
-                txn.rollback();
-                Err(e)
-            }
-        }
+        let outcome = f(&mut txn);
+        txn.txn.finish(outcome)
     }
-}
-
-/// One applied operation's undo record. Rollback replays these in reverse,
-/// restoring both the engine and the architectural model.
-enum Undo {
-    /// Undo of `start`: stop the slot again.
-    Stop { slot: usize },
-    /// Undo of `stop`: restart the slot.
-    Start { slot: usize },
-    /// Undo of `rebind`: point the port back at the old server, in the
-    /// engine and in the architecture.
-    Rebind {
-        client_slot: usize,
-        port: String,
-        old_server_slot: usize,
-        client_id: ComponentId,
-        old_server_id: ComponentId,
-        old_server_if: String,
-        protocol: Protocol,
-    },
-    /// Undo of `reassign_domain`: re-home the slot and move the
-    /// containment edge back (and, when the move migrated the allocation
-    /// region, re-home that too).
-    Domain {
-        slot: usize,
-        old_domain_ix: Option<usize>,
-        comp: ComponentId,
-        old_domain_id: Option<ComponentId>,
-        new_domain_id: ComponentId,
-        /// Pre-transaction runtime-area index when the domain edge
-        /// re-homed the allocation region.
-        old_area_ix: Option<usize>,
-    },
-    /// Undo of an interceptor installation: remove it again (the
-    /// membrane's compiled plan recompiles back to its old form).
-    RemoveInterceptor { slot: usize, name: &'static str },
-    /// Undo of an interceptor removal: splice the taken step — state
-    /// included — back at its old chain position, restoring the compiled
-    /// plan byte-identically.
-    InstallStep {
-        slot: usize,
-        index: usize,
-        step: InterceptStep,
-    },
-    /// Undo of a contract attach *or* detach: both reduce to putting the
-    /// pre-transaction monitor slot — recorded histogram included — back.
-    Contract {
-        slot: usize,
-        previous: Option<Box<MonitorSlot>>,
-    },
-    /// Undo of `set_fault_policy`: restore the pre-transaction policy.
-    Policy { slot: usize, previous: FaultPolicy },
-    /// Undo of `set_supervisor`: restore the pre-transaction edge.
-    Supervisor {
-        slot: usize,
-        previous: Option<usize>,
-    },
 }
 
 /// The in-flight transaction handle passed to
-/// [`Deployment::reconfigure`]'s closure. Operations apply eagerly (later
-/// operations observe earlier ones); the journal guarantees they all
-/// revert together on failure.
+/// [`Deployment::reconfigure`]'s closure: a typed wrapper over the sharded
+/// engine's [`ParallelReconfiguration`]. Each operation checks its tokens,
+/// then runs the same journaled body as the name-addressed operation of
+/// the same name, whose documentation gives the full contract and errors;
+/// a token minted by another deployment is refused with
+/// [`FrameworkError::Content`]. Operations apply eagerly (later operations
+/// observe earlier ones); the journal guarantees they all revert together
+/// on failure.
 pub struct Reconfiguration<'d, P: Payload> {
-    dep: &'d mut Deployment<P>,
-    journal: Vec<Undo>,
-    /// `(runtime area index, bytes)` charges deferred to commit time, so
-    /// refused transactions stay charge-neutral.
-    pending_charges: Vec<(usize, usize)>,
+    nonce: u32,
+    txn: ParallelReconfiguration<'d, P>,
 }
 
 impl<P: Payload> Reconfiguration<'_, P> {
-    /// Stops a component (no-op if already stopped).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for foreign refs.
+    fn g(&self, r: ComponentRef) -> Result<usize, FrameworkError> {
+        slot_of(self.nonce, r)
+    }
+
+    /// Stops a component (no-op if already stopped); see
+    /// [`ParallelReconfiguration::stop`].
     pub fn stop(&mut self, component: ComponentRef) -> Result<(), FrameworkError> {
-        let slot = self.dep.slot(component)?;
-        if !self.dep.system.node_started(slot) {
-            return Ok(());
-        }
-        self.dep.system.stop_at(slot)?;
-        self.journal.push(Undo::Start { slot });
-        Ok(())
+        self.txn.stop_at(self.g(component)?)
     }
 
-    /// (Re)starts a component (no-op if already started).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for foreign refs.
+    /// (Re)starts a component (no-op if already started); see
+    /// [`ParallelReconfiguration::start`].
     pub fn start(&mut self, component: ComponentRef) -> Result<(), FrameworkError> {
-        let slot = self.dep.slot(component)?;
-        if self.dep.system.node_started(slot) {
-            return Ok(());
-        }
-        self.dep.system.start_at(slot)?;
-        self.journal.push(Undo::Stop { slot });
-        Ok(())
+        self.txn.start_at(self.g(component)?)
     }
 
-    /// Rebinds `client`'s synchronous `port` to `new_server`, which must
-    /// provide a server interface of the same name as the old target. The
-    /// architectural model is updated in the same step, so commit-time
-    /// validation sees the rebound topology (an NHRT client rebound onto
-    /// heap-held state, for example, is refused by SOL-006 and rolled
-    /// back).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Binding`] for unbound/asynchronous ports, missing
-    /// interfaces or signature mismatches.
+    /// Rebinds `client`'s synchronous `port` to `new_server`, in the
+    /// engine and in the architecture, so commit-time validation sees the
+    /// rebound topology (an NHRT client rebound onto heap-held state is
+    /// refused by SOL-006 and rolled back); see
+    /// [`ParallelReconfiguration::rebind`].
     pub fn rebind(
         &mut self,
         client: ComponentRef,
         port: &str,
         new_server: ComponentRef,
     ) -> Result<(), FrameworkError> {
-        let client_slot = self.dep.slot(client)?;
-        let server_slot = self.dep.slot(new_server)?;
-        let old_server_slot = self.dep.system.sync_target_of(client_slot, port)?;
-
-        // Architecture first: it runs the stricter checks (interface
-        // existence, role, signature equality).
-        let client_id = self.dep.ids[client_slot];
-        let new_server_id = self.dep.ids[server_slot];
-        let old = self
-            .dep
-            .arch
-            .bindings()
-            .iter()
-            .find(|b| b.client.component == client_id && b.client.interface == port)
-            .ok_or_else(|| {
-                FrameworkError::Binding(format!(
-                    "architecture lost binding for client port '{port}'"
-                ))
-            })?;
-        let (old_server_id, old_server_if, protocol) = (
-            old.server.component,
-            old.server.interface.clone(),
-            old.protocol,
-        );
-        if !self.dep.arch.unbind(client_id, port) {
-            return Err(FrameworkError::Binding(format!(
-                "architecture lost binding for client port '{port}'"
-            )));
-        }
-        if let Err(e) = self
-            .dep
-            .arch
-            .bind(client_id, port, new_server_id, &old_server_if, protocol)
-        {
-            // Restore the old edge before surfacing the failure.
-            self.dep
-                .arch
-                .bind(client_id, port, old_server_id, &old_server_if, protocol)
-                .expect("restoring a binding that existed before the transaction");
-            return Err(FrameworkError::Binding(e.to_string()));
-        }
-
-        // Engine second; architecture restored if it refuses.
-        if let Err(e) = self.dep.system.rebind_at(client_slot, port, server_slot) {
-            assert!(
-                self.dep.arch.unbind(client_id, port),
-                "binding added above must exist"
-            );
-            self.dep
-                .arch
-                .bind(client_id, port, old_server_id, &old_server_if, protocol)
-                .expect("restoring a binding that existed before the transaction");
-            return Err(e);
-        }
-
-        self.journal.push(Undo::Rebind {
-            client_slot,
-            port: port.to_string(),
-            old_server_slot,
-            client_id,
-            old_server_id,
-            old_server_if,
-            protocol,
-        });
-        Ok(())
+        let client = self.g(client)?;
+        self.txn.rebind_at(client, port, self.g(new_server)?)
     }
 
-    /// Re-homes a component onto another ThreadDomain (the component must
-    /// be a *direct* member of its current domain, if any). The engine
-    /// adopts the new domain's context and priority; commit-time
-    /// validation re-checks SOL-001/002/005/006 against the move.
-    ///
-    /// When the move changes the component's *effective memory area* (the
-    /// new domain lives under a different area), the allocation region
-    /// migrates with it — a checkpoint/handoff re-homing: the slot's
-    /// scope chain and every dispatch plan touching it are recompiled
-    /// against the new region through the same constructors build uses,
-    /// and the migrated state's substrate charge is deferred to commit,
-    /// so a refused transaction stays charge-neutral. The live placement
-    /// and the architectural model stay in lock-step either way.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown domains,
-    /// [`FrameworkError::Binding`] for indirect domain membership or
-    /// hierarchy violations, [`FrameworkError::Unsupported`] when the move
-    /// would leave the component outside every materialized memory area.
+    /// Re-homes a component onto another ThreadDomain, migrating its
+    /// allocation region when its effective memory area changes; see
+    /// [`ParallelReconfiguration::reassign_domain`].
     pub fn reassign_domain(
         &mut self,
         component: ComponentRef,
         domain: &str,
     ) -> Result<(), FrameworkError> {
-        let slot = self.dep.slot(component)?;
-        let new_domain_ix =
-            self.dep.system.domain_ix_by_name(domain).ok_or_else(|| {
-                FrameworkError::Content(format!("unknown thread domain '{domain}'"))
-            })?;
-        let comp = self.dep.ids[slot];
-        let new_domain_id = self
-            .dep
-            .arch
-            .id_of(domain)
-            .map_err(|e| FrameworkError::Content(e.to_string()))?;
-        if !matches!(
-            self.dep.arch.component(new_domain_id).map(|c| &c.kind),
-            Ok(ComponentKind::ThreadDomain(_))
-        ) {
-            return Err(FrameworkError::Content(format!(
-                "'{domain}' is not a ThreadDomain"
-            )));
-        }
-
-        // Move the containment edge in the architectural model. The
-        // `remove_child` result guards against indirect membership (the
-        // component sits inside a composite inside the domain): moving the
-        // direct edge would not actually re-home it, so refuse.
-        let old_domain_id = self.dep.arch.thread_domain_of(comp).map(|(id, _)| id);
-        let old_area = self.dep.arch.memory_area_of(comp).map(|(id, _)| id);
-        if let Some(old) = old_domain_id {
-            if !self.dep.arch.remove_child(old, comp) {
-                return Err(FrameworkError::Binding(format!(
-                    "'{}' is only an indirect member of its ThreadDomain; reassignment needs a direct edge",
-                    self.dep.system.node_name(slot)
-                )));
-            }
-        }
-        if let Err(e) = self.dep.arch.add_child(new_domain_id, comp) {
-            if let Some(old) = old_domain_id {
-                self.dep
-                    .arch
-                    .add_child(old, comp)
-                    .expect("restoring an edge that existed before the transaction");
-            }
-            return Err(FrameworkError::Binding(e.to_string()));
-        }
-
-        // A domain edge that re-homes the component's memory area migrates
-        // the allocation region with it, checkpoint/handoff style: the
-        // slot's scope chain and every dispatch plan touching it are
-        // recompiled against the new region, and the migrated state's
-        // charge is deferred to commit (see [`System::rehome_area_at`]).
-        let restore_edges = |arch: &mut Architecture| {
-            assert!(
-                arch.remove_child(new_domain_id, comp),
-                "edge added above must exist"
-            );
-            if let Some(old) = old_domain_id {
-                arch.add_child(old, comp)
-                    .expect("restoring an edge that existed before the transaction");
-            }
-        };
-        let mut old_area_ix = None;
-        let new_area = self.dep.arch.memory_area_of(comp).map(|(id, _)| id);
-        if new_area != old_area {
-            let area_name = new_area
-                .and_then(|id| self.dep.arch.component(id).ok())
-                .map(|c| c.name.clone());
-            let Some(area_name) = area_name else {
-                restore_edges(&mut self.dep.arch);
-                return Err(FrameworkError::Unsupported(format!(
-                    "reassigning '{}' to domain '{domain}' would move it outside every \
-                     memory area; components keep an allocation region",
-                    self.dep.system.node_name(slot)
-                )));
-            };
-            let Some(new_area_ix) = self.dep.system.area_ix_by_name(&area_name) else {
-                restore_edges(&mut self.dep.arch);
-                return Err(FrameworkError::Unsupported(format!(
-                    "reassigning '{}' to domain '{domain}' re-homes it onto memory area \
-                     '{area_name}', which was never materialized in this deployment",
-                    self.dep.system.node_name(slot)
-                )));
-            };
-            match self.dep.system.rehome_area_at(slot, new_area_ix) {
-                Ok(old_ix) => {
-                    self.pending_charges
-                        .push((new_area_ix, self.dep.system.state_bytes_at(slot)));
-                    old_area_ix = Some(old_ix);
-                }
-                Err(e) => {
-                    restore_edges(&mut self.dep.arch);
-                    return Err(e);
-                }
-            }
-        }
-
-        let old_domain_ix = self.dep.system.node_domain_ix(slot);
-        self.dep.system.set_domain_at(slot, Some(new_domain_ix));
-        self.journal.push(Undo::Domain {
-            slot,
-            old_domain_ix,
-            comp,
-            old_domain_id,
-            new_domain_id,
-            old_area_ix,
-        });
-        Ok(())
+        self.txn.reassign_domain_at(self.g(component)?, domain)
     }
 
-    /// Installs a [`JitterMonitor`](soleil_membrane::interceptors::JitterMonitor)
-    /// in a live component's membrane (SOLEIL only), recompiling its
-    /// interceptor plan; journaled, so rollback removes it again. A no-op
-    /// when a monitor is already installed.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Unsupported`] in the merged modes,
-    /// [`FrameworkError::Content`] for foreign refs.
+    /// Installs a jitter monitor in a live membrane (SOLEIL only); see
+    /// [`ParallelReconfiguration::install_jitter_monitor`].
     pub fn install_jitter_monitor(
         &mut self,
         component: ComponentRef,
     ) -> Result<(), FrameworkError> {
-        let slot = self.dep.slot(component)?;
-        if self.dep.system.enable_jitter_at(slot)? {
-            self.journal.push(Undo::RemoveInterceptor {
-                slot,
-                name: "jitter-monitor",
-            });
-        }
-        Ok(())
+        self.txn.install_jitter_monitor_at(self.g(component)?)
     }
 
     /// Removes a jitter monitor from a live membrane (SOLEIL only); true
-    /// when one was removed. Journaled: rollback splices the exact step —
-    /// recorded observations included — back at its old chain position, so
-    /// a rejected transaction restores the compiled plan byte-identically.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Unsupported`] in the merged modes,
-    /// [`FrameworkError::Content`] for foreign refs.
+    /// when one was removed. See
+    /// [`ParallelReconfiguration::remove_jitter_monitor`].
     pub fn remove_jitter_monitor(
         &mut self,
         component: ComponentRef,
     ) -> Result<bool, FrameworkError> {
-        let slot = self.dep.slot(component)?;
-        match self
-            .dep
-            .system
-            .take_interceptor_at(slot, "jitter-monitor")?
-        {
-            Some((index, step)) => {
-                self.journal.push(Undo::InstallStep { slot, index, step });
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        self.txn.remove_jitter_monitor_at(self.g(component)?)
     }
 
-    /// Attaches (or replaces) a declarative timing contract on a live
-    /// component, journaled: rollback restores the previous monitor slot —
-    /// recorded histogram included — or removes the new one. Works in any
-    /// reconfigurable mode, since contracts are engine-level observability
-    /// rather than membrane machinery.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for foreign refs.
+    /// Attaches (or replaces) a timing contract; see
+    /// [`ParallelReconfiguration::attach_contract`].
     pub fn attach_contract(
         &mut self,
         component: ComponentRef,
         contract: TimingContract,
     ) -> Result<(), FrameworkError> {
-        let slot = self.dep.slot(component)?;
-        let previous = self.dep.system.attach_contract_at(slot, contract)?;
-        self.journal.push(Undo::Contract { slot, previous });
-        Ok(())
+        self.txn.attach_contract_at(self.g(component)?, contract)
     }
 
-    /// Declares (or changes) a component's [`FaultPolicy`], journaled:
-    /// rollback restores the pre-transaction policy. Like contracts, this
-    /// works in any reconfigurable mode — the policy is engine-level
-    /// supervision, not membrane structure.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for foreign refs.
+    /// Detaches a timing contract; `true` when one was attached. See
+    /// [`ParallelReconfiguration::detach_contract`].
+    pub fn detach_contract(&mut self, component: ComponentRef) -> Result<bool, FrameworkError> {
+        self.txn.detach_contract_at(self.g(component)?)
+    }
+
+    /// Declares (or changes) a component's [`FaultPolicy`]; see
+    /// [`ParallelReconfiguration::set_fault_policy`].
     pub fn set_fault_policy(
         &mut self,
         component: ComponentRef,
         policy: FaultPolicy,
     ) -> Result<(), FrameworkError> {
-        let slot = self.dep.slot(component)?;
-        let previous = self.dep.system.set_fault_policy_at(slot, policy)?;
-        self.journal.push(Undo::Policy { slot, previous });
-        Ok(())
+        self.txn.set_fault_policy_at(self.g(component)?, policy)
     }
 
-    /// Declares (or clears) a component's supervisor edge, journaled:
-    /// rollback restores the pre-transaction edge. Cycle and validity
-    /// checks run eagerly here, and the whole tree is re-validated at
-    /// commit time, so a committed transaction can never leave a broken
-    /// supervision tree behind.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for foreign refs, self-supervision, or
-    /// an edge that would close a cycle.
+    /// Declares (or clears) a component's supervisor edge; see
+    /// [`ParallelReconfiguration::set_supervisor`].
     pub fn set_supervisor(
         &mut self,
         component: ComponentRef,
         supervisor: Option<ComponentRef>,
     ) -> Result<(), FrameworkError> {
-        let slot = self.dep.slot(component)?;
-        let sup_slot = match supervisor {
-            Some(s) => Some(self.dep.slot(s)?),
-            None => None,
-        };
-        let previous = self.dep.system.set_supervisor_at(slot, sup_slot)?;
-        self.journal.push(Undo::Supervisor { slot, previous });
-        Ok(())
-    }
-
-    /// Detaches a component's timing contract; `true` when one was
-    /// attached. Journaled: rollback restores the exact monitor slot,
-    /// recorded histogram included.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for foreign refs.
-    pub fn detach_contract(&mut self, component: ComponentRef) -> Result<bool, FrameworkError> {
-        let slot = self.dep.slot(component)?;
-        match self.dep.system.detach_contract_at(slot) {
-            Some(previous) => {
-                self.journal.push(Undo::Contract {
-                    slot,
-                    previous: Some(previous),
-                });
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// Replays the journal in reverse, restoring engine and architecture.
-    /// Each undo reverses an operation that succeeded against a state that
-    /// was valid, so failures here are framework bugs — surfaced loudly.
-    fn rollback(&mut self) {
-        while let Some(undo) = self.journal.pop() {
-            match undo {
-                Undo::Stop { slot } => self
-                    .dep
-                    .system
-                    .stop_at(slot)
-                    .expect("rollback stop of a slot started by this transaction"),
-                Undo::Start { slot } => self
-                    .dep
-                    .system
-                    .start_at(slot)
-                    .expect("rollback restart of a slot stopped by this transaction"),
-                Undo::Rebind {
-                    client_slot,
-                    port,
-                    old_server_slot,
-                    client_id,
-                    old_server_id,
-                    old_server_if,
-                    protocol,
-                } => {
-                    self.dep
-                        .system
-                        .rebind_at(client_slot, &port, old_server_slot)
-                        .expect("rollback rebind to the pre-transaction server");
-                    assert!(
-                        self.dep.arch.unbind(client_id, &port),
-                        "rollback: transaction binding vanished from the architecture"
-                    );
-                    self.dep
-                        .arch
-                        .bind(client_id, &port, old_server_id, &old_server_if, protocol)
-                        .expect("rollback restore of the pre-transaction binding");
-                }
-                Undo::RemoveInterceptor { slot, name } => {
-                    let removed = self
-                        .dep
-                        .system
-                        .remove_interceptor_at(slot, name)
-                        .expect("rollback removal in a mode that installed it");
-                    assert!(
-                        removed,
-                        "rollback: interceptor installed by this transaction vanished"
-                    );
-                }
-                Undo::InstallStep { slot, index, step } => {
-                    self.dep
-                        .system
-                        .insert_step_at(slot, index, step)
-                        .expect("rollback reinstall in a mode that removed it");
-                }
-                Undo::Contract { slot, previous } => {
-                    self.dep.system.restore_contract_at(slot, previous);
-                }
-                Undo::Policy { slot, previous } => {
-                    self.dep
-                        .system
-                        .set_fault_policy_at(slot, previous)
-                        .expect("rollback restore of a policy set by this transaction");
-                }
-                Undo::Supervisor { slot, previous } => {
-                    self.dep.system.set_supervisor_at(slot, previous).expect(
-                        "rollback restore of a supervisor edge valid before the transaction",
-                    );
-                }
-                Undo::Domain {
-                    slot,
-                    old_domain_ix,
-                    comp,
-                    old_domain_id,
-                    new_domain_id,
-                    old_area_ix,
-                } => {
-                    self.dep.system.set_domain_at(slot, old_domain_ix);
-                    if let Some(old_ix) = old_area_ix {
-                        self.dep
-                            .system
-                            .rehome_area_at(slot, old_ix)
-                            .expect("rollback re-homing onto the pre-transaction region");
-                    }
-                    assert!(
-                        self.dep.arch.remove_child(new_domain_id, comp),
-                        "rollback: transaction domain edge vanished from the architecture"
-                    );
-                    if let Some(old) = old_domain_id {
-                        self.dep
-                            .arch
-                            .add_child(old, comp)
-                            .expect("rollback restore of the pre-transaction domain edge");
-                    }
-                }
-            }
-        }
+        let g = self.g(component)?;
+        let sup = supervisor.map(|s| self.g(s)).transpose()?;
+        self.txn.set_supervisor_at(g, sup)
     }
 }

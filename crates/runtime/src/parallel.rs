@@ -47,9 +47,21 @@
 //!    message exists anywhere — only then do the workers hand their
 //!    shards back. A panic on a worker is caught there: the run fails
 //!    with a typed error naming the shard, and the deployment is
-//!    *poisoned* — later runs and reconfigurations refuse.
+//!    *poisoned* — later runs, reconfigurations and mutating control
+//!    calls (timers, contracts, policies, restarts, injectors,
+//!    supervisors, checkpoints) refuse.
 //!    Steady-state ticks allocate nothing on any thread: rings, slabs and
 //!    scope stacks are provisioned at build/warmup time.
+//! 4. **Reconfiguration.** [`ParallelSystem::reconfigure`] runs one
+//!    journaled transaction across the partition (see
+//!    [`ParallelReconfiguration`]). This is the only reconfiguration
+//!    engine: a serial [`crate::Deployment`] is this engine on a forced
+//!    **one-shard plan** (every component on shard 0, no rings), and its
+//!    typed transaction reaches the same operation bodies, the same
+//!    journal, the same rollback and the same commit path. Commit
+//!    compliance is decided by the design-time validator alone; the
+//!    SOL-015 coupling advisory is computed only when a commit is
+//!    refused, to explain the refusal.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,7 +74,7 @@ use std::time::Instant;
 use rtsj::time::AbsoluteTime;
 use soleil_core::contract::TimingContract;
 use soleil_core::model::{ComponentId, ComponentKind, Protocol};
-use soleil_core::validate::parallel_reconfiguration_report;
+use soleil_core::validate::{parallel_coupling, validate};
 use soleil_core::{Architecture, ValidationReport};
 use soleil_membrane::content::{ContentRegistry, Payload};
 use soleil_membrane::interceptors::{FaultInjector, InterceptStep};
@@ -214,11 +226,22 @@ struct CrossIn<P> {
 
 struct Shard<P: Payload> {
     label: String,
-    domains: Vec<String>,
-    components: Vec<String>,
     system: System<P>,
     incoming: Vec<CrossIn<P>>,
 }
+
+/// A shard's label: its thread-domain names joined with `+`.
+fn shard_label(domains: &[DomainSpec], shard: usize) -> String {
+    if domains.is_empty() {
+        return format!("shard{shard}");
+    }
+    let names: Vec<&str> = domains.iter().map(|d| d.name.as_str()).collect();
+    names.join("+")
+}
+
+/// What a build materialized: the shards, each component's `(shard,
+/// slot)`, each binding's carrier, and the next ring tag to mint.
+type Materialized<P> = (Vec<Shard<P>>, Vec<(usize, usize)>, Vec<Carrier>, u64);
 
 /// How one spec binding is carried at runtime — settled at build, and
 /// rewritten by live rewiring transactions. Indexed by the *global* spec
@@ -316,10 +339,13 @@ pub struct ParallelSystem<P: Payload> {
     carriers: Vec<Carrier>,
     /// Next ring tag to mint (build consumed the ones below it).
     next_tag: u64,
-    /// The architectural mirror when deployed through the generator
-    /// (`deploy_parallel`): reconfiguration transactions keep it in
-    /// lock-step and re-validate it against the full rule set at commit.
-    arch: Option<Architecture>,
+    /// The architectural model [`ParallelSystem::build_with_arch`] was
+    /// given (an empty placeholder after [`ParallelSystem::build`]).
+    arch: Architecture,
+    /// True when `arch` is a live mirror: reconfiguration transactions
+    /// keep it in lock-step and re-validate it against the full rule set
+    /// at commit. Without one they reconfigure the engines alone.
+    mirrored: bool,
 }
 
 impl<P: Payload> std::fmt::Debug for ParallelSystem<P> {
@@ -346,7 +372,7 @@ impl<P: Payload> ParallelSystem<P> {
         mode: Mode,
         registry: &ContentRegistry<P>,
     ) -> Result<ParallelSystem<P>, FrameworkError> {
-        Self::build_inner(spec, mode, registry, None)
+        Self::build_inner(spec, mode, registry, None, false)
     }
 
     /// [`ParallelSystem::build`] with the architectural model retained as
@@ -358,25 +384,91 @@ impl<P: Payload> ParallelSystem<P> {
     ///
     /// # Errors
     ///
-    /// Same as [`ParallelSystem::build`].
+    /// Same as [`ParallelSystem::build`], plus
+    /// [`FrameworkError::Content`] when `arch` does not describe every
+    /// component of `spec`.
     pub fn build_with_arch(
         spec: &SystemSpec,
         mode: Mode,
         registry: &ContentRegistry<P>,
         arch: Architecture,
     ) -> Result<ParallelSystem<P>, FrameworkError> {
-        Self::build_inner(spec, mode, registry, Some(arch))
+        Self::build_inner(spec, mode, registry, Some(arch), false)
     }
 
-    fn build_inner(
+    /// The planning entry behind every build. `one_shard` forces the plan
+    /// a serial [`crate::Deployment`] runs on: every component on shard 0,
+    /// no rings, and the shard engine built from the spec itself, so it
+    /// keeps the spec's own name.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ParallelSystem::build_with_arch`].
+    pub(crate) fn build_inner(
         spec: &SystemSpec,
         mode: Mode,
         registry: &ContentRegistry<P>,
         arch: Option<Architecture>,
+        one_shard: bool,
     ) -> Result<ParallelSystem<P>, FrameworkError> {
+        let in_flight: Arc<AtomicU64> = Arc::default();
+        let (shards, comp_slot, carriers, next_tag) = if one_shard {
+            let system =
+                System::build_with_cross(spec, mode, registry, Vec::new(), Arc::clone(&in_flight))?;
+            let shard = Shard {
+                label: shard_label(&spec.domains, 0),
+                system,
+                incoming: Vec::new(),
+            };
+            let comp_slot = (0..spec.components.len()).map(|slot| (0, slot)).collect();
+            (
+                vec![shard],
+                comp_slot,
+                vec![Carrier::Local { shard: 0 }; spec.bindings.len()],
+                1,
+            )
+        } else {
+            Self::materialize(spec, mode, registry, &in_flight)?
+        };
+        if let Some(arch) = &arch {
+            if let Some(c) = spec
+                .components
+                .iter()
+                .find(|c| arch.id_of(&c.name).is_err())
+            {
+                return Err(FrameworkError::Content(format!(
+                    "architecture does not describe deployed component '{}'",
+                    c.name
+                )));
+            }
+        }
+        Ok(ParallelSystem {
+            name: spec.name.clone(),
+            mode,
+            ctl: Arc::new(Ctl::new(shards.len(), in_flight)),
+            shards,
+            workers: Vec::new(),
+            poisoned: None,
+            spec: spec.clone(),
+            comp_slot,
+            carriers,
+            next_tag,
+            mirrored: arch.is_some(),
+            arch: arch.unwrap_or_default(),
+        })
+    }
+
+    /// Plans the shard partition of `spec` and materializes it: one engine
+    /// per shard over its remapped sub-spec, and an SPSC ring per
+    /// cross-shard binding.
+    fn materialize(
+        spec: &SystemSpec,
+        mode: Mode,
+        registry: &ContentRegistry<P>,
+        in_flight: &Arc<AtomicU64>,
+    ) -> Result<Materialized<P>, FrameworkError> {
         spec.check().map_err(FrameworkError::Content)?;
         let (shard_of_comp, shard_count) = plan_shards(spec);
-        let in_flight: Arc<AtomicU64> = Arc::default();
 
         // --- Per-shard index remappings. -------------------------------
         // Areas: heap/immortal replicate everywhere; a scoped area lives
@@ -519,7 +611,7 @@ impl<P: Payload> ParallelSystem<P> {
                 mode,
                 registry,
                 std::mem::take(&mut cross_outputs[shard]),
-                Arc::clone(&in_flight),
+                Arc::clone(in_flight),
             )?;
             let mut incoming = Vec::with_capacity(cross_inputs[shard].len());
             for (slot, port, rx, tag) in std::mem::take(&mut cross_inputs[shard]) {
@@ -534,16 +626,8 @@ impl<P: Payload> ParallelSystem<P> {
             // Drain order: highest consumer priority first, mirroring the
             // single-engine pending heap.
             incoming.sort_by_key(|c| std::cmp::Reverse(system.node_priority(c.slot)));
-            let domains: Vec<String> = sub.domains.iter().map(|d| d.name.clone()).collect();
-            let label = if domains.is_empty() {
-                format!("shard{shard}")
-            } else {
-                domains.join("+")
-            };
             shards.push(Shard {
-                label,
-                domains,
-                components: sub.components.iter().map(|c| c.name.clone()).collect(),
+                label: shard_label(&sub.domains, shard),
                 system,
                 incoming,
             });
@@ -556,19 +640,7 @@ impl<P: Payload> ParallelSystem<P> {
             })
             .collect();
 
-        Ok(ParallelSystem {
-            name: spec.name.clone(),
-            mode,
-            ctl: Arc::new(Ctl::new(shards.len(), in_flight)),
-            shards,
-            workers: Vec::new(),
-            poisoned: None,
-            spec: spec.clone(),
-            comp_slot,
-            carriers,
-            next_tag,
-            arch,
-        })
+        Ok((shards, comp_slot, carriers, next_tag))
     }
 
     /// The system name.
@@ -596,14 +668,13 @@ impl<P: Payload> ParallelSystem<P> {
     pub fn shard_of_domain(&self, domain: &str) -> Option<usize> {
         self.shards
             .iter()
-            .position(|s| s.domains.iter().any(|d| d == domain))
+            .position(|s| s.system.domain_ix_by_name(domain).is_some())
     }
 
     /// The shard a component was planned into.
     pub fn shard_of_component(&self, component: &str) -> Option<usize> {
-        self.shards
-            .iter()
-            .position(|s| s.components.iter().any(|c| c == component))
+        let g = self.spec.component_index(component)?;
+        Some(self.comp_slot[g].0)
     }
 
     /// Engine counters of one shard.
@@ -649,20 +720,57 @@ impl<P: Payload> ParallelSystem<P> {
         &self.shards[shard].system
     }
 
+    /// Mutable access to one shard's engine: the inline hot path of a
+    /// one-shard [`crate::Deployment`], which never leases a worker.
+    pub(crate) fn shard_system_mut(&mut self, shard: usize) -> &mut System<P> {
+        &mut self.shards[shard].system
+    }
+
+    /// The architectural model the deployment was built with (empty when
+    /// built without one).
+    pub(crate) fn architecture(&self) -> &Architecture {
+        &self.arch
+    }
+
     // -----------------------------------------------------------------
     // Release engine: per-shard timers + runtime contracts
     // -----------------------------------------------------------------
 
+    /// Global spec index of a component, by name.
+    fn gix(&self, component: &str) -> Result<usize, FrameworkError> {
+        self.spec
+            .component_index(component)
+            .ok_or_else(|| FrameworkError::Content(format!("unknown component '{component}'")))
+    }
+
     /// The shard and shard-local slot of a component, by name.
     fn locate(&self, component: &str) -> Result<(usize, usize), FrameworkError> {
-        for (six, s) in self.shards.iter().enumerate() {
-            if let Some(slot) = s.components.iter().position(|c| c == component) {
-                return Ok((six, slot));
-            }
+        Ok(self.comp_slot[self.gix(component)?])
+    }
+
+    /// Shard, slot and supervisor slot of the supervision edge from global
+    /// component `g` to `supervisor`. Supervision trees are shard-local —
+    /// escalation must never block on another shard's thread — so an edge
+    /// across shards is refused.
+    fn supervision_edge(
+        &self,
+        g: usize,
+        supervisor: Option<usize>,
+    ) -> Result<(usize, usize, Option<usize>), FrameworkError> {
+        let (shard, slot) = self.comp_slot[g];
+        let Some(sup) = supervisor else {
+            return Ok((shard, slot, None));
+        };
+        let (sup_shard, sup_slot) = self.comp_slot[sup];
+        if sup_shard != shard {
+            return Err(FrameworkError::Unsupported(format!(
+                "supervisor edge '{}' -> '{}' crosses shards ({shard} -> {sup_shard}); \
+                 supervision trees are shard-local — escalation must never block on \
+                 another shard's thread",
+                self.spec.components[g].name, self.spec.components[sup].name
+            )));
         }
-        Err(FrameworkError::Content(format!(
-            "unknown component '{component}'"
-        )))
+        Ok((shard, slot, Some(sup_slot)))
     }
 
     /// Schedules an extra release of periodic `component` at absolute
@@ -679,6 +787,7 @@ impl<P: Payload> ParallelSystem<P> {
         component: &str,
         at: AbsoluteTime,
     ) -> Result<TimerHandle, FrameworkError> {
+        self.check_poisoned()?;
         let (shard, slot) = self.locate(component)?;
         self.shards[shard].system.schedule_release(slot, at)
     }
@@ -695,6 +804,7 @@ impl<P: Payload> ParallelSystem<P> {
         component: &str,
         handle: TimerHandle,
     ) -> Result<bool, FrameworkError> {
+        self.check_poisoned()?;
         let (shard, _) = self.locate(component)?;
         Ok(self.shards[shard].system.cancel_release(handle))
     }
@@ -717,6 +827,7 @@ impl<P: Payload> ParallelSystem<P> {
         component: &str,
         contract: TimingContract,
     ) -> Result<(), FrameworkError> {
+        self.check_poisoned()?;
         let (shard, slot) = self.locate(component)?;
         self.shards[shard]
             .system
@@ -771,6 +882,7 @@ impl<P: Payload> ParallelSystem<P> {
         component: &str,
         policy: FaultPolicy,
     ) -> Result<FaultPolicy, FrameworkError> {
+        self.check_poisoned()?;
         let (shard, slot) = self.locate(component)?;
         self.shards[shard].system.set_fault_policy_at(slot, policy)
     }
@@ -803,6 +915,7 @@ impl<P: Payload> ParallelSystem<P> {
     /// [`FrameworkError::Content`] for unknown components, content
     /// `on_start` failures.
     pub fn restart_component(&mut self, component: &str) -> Result<(), FrameworkError> {
+        self.check_poisoned()?;
         let (shard, slot) = self.locate(component)?;
         self.shards[shard].system.restart_slot(slot)
     }
@@ -819,6 +932,7 @@ impl<P: Payload> ParallelSystem<P> {
         component: &str,
         injector: FaultInjector,
     ) -> Result<(), FrameworkError> {
+        self.check_poisoned()?;
         let (shard, slot) = self.locate(component)?;
         self.shards[shard]
             .system
@@ -866,25 +980,14 @@ impl<P: Payload> ParallelSystem<P> {
         component: &str,
         supervisor: Option<&str>,
     ) -> Result<Option<String>, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        let sup_slot = match supervisor {
-            Some(name) => {
-                let (sup_shard, sup_slot) = self.locate(name)?;
-                if sup_shard != shard {
-                    return Err(FrameworkError::Unsupported(format!(
-                        "supervisor edge '{component}' -> '{name}' crosses shards \
-                         ({shard} -> {sup_shard}); supervision trees are shard-local \
-                         — escalation must never block on another shard's thread"
-                    )));
-                }
-                Some(sup_slot)
-            }
-            None => None,
-        };
+        self.check_poisoned()?;
+        let g = self.gix(component)?;
+        let sup = supervisor.map(|name| self.gix(name)).transpose()?;
+        let (shard, slot, sup_slot) = self.supervision_edge(g, sup)?;
         let prev = self.shards[shard]
             .system
             .set_supervisor_at(slot, sup_slot)?;
-        Ok(prev.map(|s| self.shards[shard].components[s].clone()))
+        Ok(prev.map(|s| self.shards[shard].system.node_name(s).to_string()))
     }
 
     /// A component's declared supervisor's name, if any.
@@ -897,7 +1000,7 @@ impl<P: Payload> ParallelSystem<P> {
         Ok(self.shards[shard]
             .system
             .supervisor_of_at(slot)
-            .map(|s| self.shards[shard].components[s].clone()))
+            .map(|s| self.shards[shard].system.node_name(s).to_string()))
     }
 
     /// The rendered escalation path of the last fault this component
@@ -927,7 +1030,18 @@ impl<P: Payload> ParallelSystem<P> {
         component: &str,
         cadence: u32,
     ) -> Result<(), FrameworkError> {
+        self.check_poisoned()?;
         let (shard, slot) = self.locate(component)?;
+        self.enable_checkpoint_at(shard, slot, cadence)
+    }
+
+    /// [`enable_checkpoint`](Self::enable_checkpoint) on a located slot.
+    pub(crate) fn enable_checkpoint_at(
+        &mut self,
+        shard: usize,
+        slot: usize,
+        cadence: u32,
+    ) -> Result<(), FrameworkError> {
         let system = &mut self.shards[shard].system;
         let bytes = system.enable_checkpoint_at(slot, cadence)?;
         let area_ix = system.area_ix_at(slot);
@@ -962,7 +1076,10 @@ impl<P: Payload> ParallelSystem<P> {
     /// Releases every periodic head of every shard `ticks` times, each
     /// shard on its own leased worker thread, then runs cross-shard
     /// traffic to quiescence. Equivalent to [`run_ticks_instrumented`]
-    /// with no warmup and a constant probe.
+    /// with no warmup and a constant probe. (The one-shard plan a
+    /// [`crate::Deployment`] is built on never comes through here and
+    /// never leases a worker: its ticks and transactions run inline on
+    /// the caller's thread.)
     ///
     /// # Errors
     ///
@@ -1084,7 +1201,8 @@ impl<P: Payload> ParallelSystem<P> {
         Ok(runs)
     }
 
-    /// Refuses with the root cause once a shard worker has panicked.
+    /// Refuses with the root cause once a shard worker has panicked (every
+    /// run, reconfiguration and mutating control call checks this first).
     fn check_poisoned(&self) -> Result<(), FrameworkError> {
         match &self.poisoned {
             Some(cause) => Err(FrameworkError::RunToCompletion(format!(
@@ -1172,44 +1290,9 @@ impl<P: Payload> ParallelSystem<P> {
         &mut self,
         f: impl FnOnce(&mut ParallelReconfiguration<'_, P>) -> Result<T, FrameworkError>,
     ) -> Result<T, FrameworkError> {
-        if self.mode == Mode::UltraMerge {
-            return Err(FrameworkError::Unsupported(
-                "ULTRA-MERGE systems are purely static".into(),
-            ));
-        }
-        self.check_poisoned()?;
-        self.quiesce()?;
-        let mut txn = ParallelReconfiguration {
-            sys: self,
-            journal: Vec::new(),
-            pending_charges: Vec::new(),
-        };
-        match f(&mut txn) {
-            Ok(value) => match txn.validate_commit() {
-                Ok(()) => {
-                    // Commit: make the deferred substrate charges. A
-                    // failing charge refuses the transaction; charges
-                    // already made stand — immortal/scoped accounting is
-                    // monotonic, exactly like build.
-                    let charges = std::mem::take(&mut txn.pending_charges);
-                    for charge in charges {
-                        if let Err(e) = txn.apply_charge(charge) {
-                            txn.rollback();
-                            return Err(e);
-                        }
-                    }
-                    Ok(value)
-                }
-                Err(e) => {
-                    txn.rollback();
-                    Err(e)
-                }
-            },
-            Err(e) => {
-                txn.rollback();
-                Err(e)
-            }
-        }
+        let mut txn = ParallelReconfiguration::begin(self)?;
+        let outcome = f(&mut txn);
+        txn.finish(outcome)
     }
 }
 
@@ -1230,10 +1313,19 @@ enum PendingCharge {
     Immortal { shard: usize, bytes: usize },
 }
 
-/// One applied parallel operation's undo record. Rollback replays these in
+/// The architectural half of a rebind: `(client, old server, old server
+/// interface, protocol)`, enough to put the pre-transaction binding back.
+type BindingRecord = (ComponentId, ComponentId, String, Protocol);
+
+/// The architectural half of a domain move: `(component, old domain, new
+/// domain)` containment edges.
+type DomainEdge = (ComponentId, Option<ComponentId>, ComponentId);
+
+/// One applied operation's undo record — the only reconfiguration journal,
+/// shared by serial and sharded deployments. Rollback replays these in
 /// reverse, restoring every shard engine, the ring topology, the shared
 /// spec and the architectural model.
-enum PUndo<P> {
+enum Undo<P> {
     /// Undo of `start`: stop the slot again.
     Stop { shard: usize, slot: usize },
     /// Undo of `stop`: restart the slot.
@@ -1246,7 +1338,7 @@ enum PUndo<P> {
         old_server_slot: usize,
         gbix: usize,
         old_server_g: usize,
-        arch: Option<(ComponentId, ComponentId, String, Protocol)>,
+        arch: Option<BindingRecord>,
     },
     /// Undo of `rebind_async`'s cross-ring rewiring: retire the installed
     /// ring, restore the client's compiled binding byte-identically, and
@@ -1261,7 +1353,7 @@ enum PUndo<P> {
         installed_tag: u64,
         engine: AsyncRepointUndo,
         retired: Option<(usize, CrossIn<P>)>,
-        arch: Option<(ComponentId, ComponentId, String, Protocol)>,
+        arch: Option<BindingRecord>,
     },
     /// Undo of `reassign_domain`: re-seat the domain (and, for a re-homed
     /// component, migrate the allocation region back).
@@ -1274,7 +1366,7 @@ enum PUndo<P> {
         /// `(old local area ix, old global area ix)` when the move
         /// re-homed the allocation region.
         rehome: Option<(usize, usize)>,
-        arch: Option<(ComponentId, Option<ComponentId>, ComponentId)>,
+        arch: Option<DomainEdge>,
     },
     /// Undo of an interceptor installation: remove it again.
     RemoveInterceptor {
@@ -1310,24 +1402,85 @@ enum PUndo<P> {
     },
 }
 
+/// Puts an architectural binding mirrored by
+/// [`ParallelReconfiguration::arch_rebind`] back (op-level failure
+/// recovery and rollback).
+fn arch_unrebind(arch: &mut Architecture, port: &str, record: &BindingRecord) {
+    let (client_id, old_server_id, old_server_if, protocol) = record;
+    assert!(
+        arch.unbind(*client_id, port),
+        "rollback: transaction binding vanished from the architecture"
+    );
+    arch.bind(*client_id, port, *old_server_id, old_server_if, *protocol)
+        .expect("rollback restore of the pre-transaction binding");
+}
+
+/// Moves a component's containment edge from its transaction domain back
+/// to its pre-transaction one (op-level failure recovery and rollback).
+fn restore_domain_edge(arch: &mut Architecture, (comp, old, new): DomainEdge) {
+    assert!(
+        arch.remove_child(new, comp),
+        "rollback: transaction domain edge vanished from the architecture"
+    );
+    if let Some(old) = old {
+        arch.add_child(old, comp)
+            .expect("rollback restore of the pre-transaction domain edge");
+    }
+}
+
 /// The in-flight transaction handle passed to
 /// [`ParallelSystem::reconfigure`]'s closure. Operations are
 /// name-addressed (the partition owns placement — callers never see shard
 /// indices), apply eagerly, and journal their inverses; the whole set
-/// reverts together on failure.
+/// reverts together on failure. A serial [`crate::Reconfiguration`] wraps
+/// the same handle and reaches the same operation bodies by global
+/// component index.
 pub struct ParallelReconfiguration<'s, P: Payload> {
     sys: &'s mut ParallelSystem<P>,
-    journal: Vec<PUndo<P>>,
+    journal: Vec<Undo<P>>,
     pending_charges: Vec<PendingCharge>,
 }
 
-impl<P: Payload> ParallelReconfiguration<'_, P> {
-    /// Global spec index of a component, by name.
-    fn gix(&self, component: &str) -> Result<usize, FrameworkError> {
-        self.sys
-            .spec
-            .component_index(component)
-            .ok_or_else(|| FrameworkError::Content(format!("unknown component '{component}'")))
+impl<'s, P: Payload> ParallelReconfiguration<'s, P> {
+    /// Opens a transaction: refuses static and poisoned deployments, then
+    /// drives the partition to a quiescence epoch (a one-shard plan is
+    /// always quiescent between calls, so it stays on the caller's
+    /// thread).
+    pub(crate) fn begin(sys: &'s mut ParallelSystem<P>) -> Result<Self, FrameworkError> {
+        if sys.mode == Mode::UltraMerge {
+            return Err(FrameworkError::Unsupported(
+                "ULTRA-MERGE systems are purely static".into(),
+            ));
+        }
+        sys.check_poisoned()?;
+        sys.quiesce()?;
+        Ok(ParallelReconfiguration {
+            sys,
+            journal: Vec::new(),
+            pending_charges: Vec::new(),
+        })
+    }
+
+    /// Closes the transaction on the closure's `outcome` — the one commit
+    /// path. `Ok` commits if [`validate_commit`](Self::validate_commit)
+    /// passes and every deferred substrate charge succeeds (charges
+    /// already made stand: immortal/scoped accounting is monotonic,
+    /// exactly like build). Any error rolls the whole journal back.
+    pub(crate) fn finish<T>(
+        mut self,
+        outcome: Result<T, FrameworkError>,
+    ) -> Result<T, FrameworkError> {
+        let committed = outcome.and_then(|value| {
+            self.validate_commit()?;
+            for charge in std::mem::take(&mut self.pending_charges) {
+                self.apply_charge(charge)?;
+            }
+            Ok(value)
+        });
+        if committed.is_err() {
+            self.rollback();
+        }
+        committed
     }
 
     /// Mirrors a rebind into the architectural model (when the deployment
@@ -1335,19 +1488,24 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
     /// same-named interface. Returns the restore record.
     fn arch_rebind(
         &mut self,
-        client: &str,
+        client: usize,
         port: &str,
-        new_server: &str,
-    ) -> Result<Option<(ComponentId, ComponentId, String, Protocol)>, FrameworkError> {
-        let Some(arch) = self.sys.arch.as_mut() else {
+        new_server: usize,
+    ) -> Result<Option<BindingRecord>, FrameworkError> {
+        let ParallelSystem {
+            arch,
+            mirrored,
+            spec,
+            ..
+        } = &mut *self.sys;
+        if !*mirrored {
             return Ok(None);
+        }
+        let id = |g: usize| {
+            arch.id_of(&spec.components[g].name)
+                .map_err(|e| FrameworkError::Content(e.to_string()))
         };
-        let client_id = arch
-            .id_of(client)
-            .map_err(|e| FrameworkError::Content(e.to_string()))?;
-        let new_server_id = arch
-            .id_of(new_server)
-            .map_err(|e| FrameworkError::Content(e.to_string()))?;
+        let (client_id, new_server_id) = (id(client)?, id(new_server)?);
         let old = arch
             .bindings()
             .iter()
@@ -1357,7 +1515,8 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
                     "architecture lost binding for client port '{port}'"
                 ))
             })?;
-        let (old_server_id, old_server_if, protocol) = (
+        let record = (
+            client_id,
             old.server.component,
             old.server.interface.clone(),
             old.protocol,
@@ -1367,29 +1526,12 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
                 "architecture lost binding for client port '{port}'"
             )));
         }
-        if let Err(e) = arch.bind(client_id, port, new_server_id, &old_server_if, protocol) {
-            arch.bind(client_id, port, old_server_id, &old_server_if, protocol)
+        if let Err(e) = arch.bind(client_id, port, new_server_id, &record.2, record.3) {
+            arch.bind(client_id, port, record.1, &record.2, record.3)
                 .expect("restoring a binding that existed before the transaction");
             return Err(FrameworkError::Binding(e.to_string()));
         }
-        Ok(Some((client_id, old_server_id, old_server_if, protocol)))
-    }
-
-    /// Puts an architectural binding mirrored by [`Self::arch_rebind`]
-    /// back (used both by op-level failure recovery and by rollback).
-    fn arch_unrebind(
-        arch: &mut Option<Architecture>,
-        port: &str,
-        record: &(ComponentId, ComponentId, String, Protocol),
-    ) {
-        let arch = arch.as_mut().expect("record exists only with an arch");
-        let (client_id, old_server_id, old_server_if, protocol) = record;
-        assert!(
-            arch.unbind(*client_id, port),
-            "rollback: transaction binding vanished from the architecture"
-        );
-        arch.bind(*client_id, port, *old_server_id, old_server_if, *protocol)
-            .expect("rollback restore of the pre-transaction binding");
+        Ok(Some(record))
     }
 
     /// Stops a component (no-op if already stopped), wherever it was
@@ -1399,12 +1541,17 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
     ///
     /// [`FrameworkError::Content`] for unknown components.
     pub fn stop(&mut self, component: &str) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
-        if !self.sys.shards[shard].system.node_started(slot) {
-            return Ok(());
+        self.stop_at(self.sys.gix(component)?)
+    }
+
+    /// [`stop`](Self::stop) by global component index.
+    pub(crate) fn stop_at(&mut self, g: usize) -> Result<(), FrameworkError> {
+        let (shard, slot) = self.sys.comp_slot[g];
+        let system = &mut self.sys.shards[shard].system;
+        if system.node_started(slot) {
+            system.stop_at(slot)?;
+            self.journal.push(Undo::Start { shard, slot });
         }
-        self.sys.shards[shard].system.stop_at(slot)?;
-        self.journal.push(PUndo::Start { shard, slot });
         Ok(())
     }
 
@@ -1414,22 +1561,30 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
     ///
     /// [`FrameworkError::Content`] for unknown components.
     pub fn start(&mut self, component: &str) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
-        if self.sys.shards[shard].system.node_started(slot) {
-            return Ok(());
+        self.start_at(self.sys.gix(component)?)
+    }
+
+    /// [`start`](Self::start) by global component index.
+    pub(crate) fn start_at(&mut self, g: usize) -> Result<(), FrameworkError> {
+        let (shard, slot) = self.sys.comp_slot[g];
+        let system = &mut self.sys.shards[shard].system;
+        if !system.node_started(slot) {
+            system.start_at(slot)?;
+            self.journal.push(Undo::Stop { shard, slot });
         }
-        self.sys.shards[shard].system.start_at(slot)?;
-        self.journal.push(PUndo::Stop { shard, slot });
         Ok(())
     }
 
-    /// Rebinds `client`'s **synchronous** `port` to `new_server` on the
-    /// same shard. Synchronous invocations are nested calls on the
-    /// caller's thread — they can never cross the domain partition, so a
-    /// rebind whose new server lives on another shard is refused (the
-    /// planner would never have co-located them; use
-    /// [`rebind_async`](Self::rebind_async) for buffered bindings, which
-    /// ride cross-domain rings).
+    /// Rebinds `client`'s **synchronous** `port` to `new_server`, which
+    /// must provide a server interface of the same name as the old target,
+    /// on the same shard. The architectural model is updated in the same
+    /// step, so commit-time validation sees the rebound topology (an NHRT
+    /// client rebound onto heap-held state, for example, is refused by
+    /// SOL-006 and rolled back). Synchronous invocations are nested calls
+    /// on the caller's thread — they can never cross the domain
+    /// partition, so a rebind whose new server lives on another shard is
+    /// refused (use [`rebind_async`](Self::rebind_async) for buffered
+    /// bindings, which ride cross-domain rings).
     ///
     /// # Errors
     ///
@@ -1442,17 +1597,28 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
         port: &str,
         new_server: &str,
     ) -> Result<(), FrameworkError> {
-        let gclient = self.gix(client)?;
-        let gserver = self.gix(new_server)?;
-        let (cs, client_slot) = self.sys.comp_slot[gclient];
-        let (ss, server_slot) = self.sys.comp_slot[gserver];
+        self.rebind_at(self.sys.gix(client)?, port, self.sys.gix(new_server)?)
+    }
+
+    /// [`rebind`](Self::rebind) by global component indices.
+    pub(crate) fn rebind_at(
+        &mut self,
+        client: usize,
+        port: &str,
+        new_server: usize,
+    ) -> Result<(), FrameworkError> {
+        let (cs, client_slot) = self.sys.comp_slot[client];
+        let (ss, server_slot) = self.sys.comp_slot[new_server];
         if cs != ss {
             return Err(FrameworkError::Unsupported(format!(
-                "synchronous rebind cannot cross the domain partition: '{client}' runs on \
-                 shard {cs} ('{}') and '{new_server}' on shard {ss} ('{}'); nested \
+                "synchronous rebind cannot cross the domain partition: '{}' runs on \
+                 shard {cs} ('{}') and '{}' on shard {ss} ('{}'); nested \
                  invocations stay on the caller's thread — use rebind_async for buffered \
                  bindings",
-                self.sys.shards[cs].label, self.sys.shards[ss].label
+                self.sys.spec.components[client].name,
+                self.sys.shards[cs].label,
+                self.sys.spec.components[new_server].name,
+                self.sys.shards[ss].label
             )));
         }
         let old_server_slot = self.sys.shards[cs]
@@ -1464,7 +1630,7 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
             .bindings
             .iter()
             .position(|b| {
-                b.client == gclient
+                b.client == client
                     && b.client_port == port
                     && matches!(b.protocol, ProtocolSpec::Sync)
             })
@@ -1484,13 +1650,13 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
             .rebind_at(client_slot, port, server_slot)
         {
             if let Some(record) = &arch {
-                Self::arch_unrebind(&mut self.sys.arch, port, record);
+                arch_unrebind(&mut self.sys.arch, port, record);
             }
             return Err(e);
         }
 
-        self.sys.spec.bindings[gbix].server = gserver;
-        self.journal.push(PUndo::Rebind {
+        self.sys.spec.bindings[gbix].server = new_server;
+        self.journal.push(Undo::Rebind {
             shard: cs,
             client_slot,
             port: port.to_string(),
@@ -1524,25 +1690,26 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
         port: &str,
         new_server: &str,
     ) -> Result<(), FrameworkError> {
-        let gclient = self.gix(client)?;
-        let gserver = self.gix(new_server)?;
-        let gbix = self
+        let gclient = self.sys.gix(client)?;
+        let gserver = self.sys.gix(new_server)?;
+        let found = self
             .sys
             .spec
             .bindings
             .iter()
-            .position(|b| {
-                b.client == gclient
-                    && b.client_port == port
-                    && matches!(b.protocol, ProtocolSpec::Async { .. })
-            })
-            .ok_or_else(|| {
-                FrameworkError::Binding(format!(
-                    "no asynchronous binding on client port '{port}' of '{client}'"
-                ))
-            })?;
-        let ProtocolSpec::Async { capacity, .. } = self.sys.spec.bindings[gbix].protocol else {
-            unreachable!("position() matched Async above")
+            .enumerate()
+            .find_map(|(bix, b)| match b.protocol {
+                ProtocolSpec::Async { capacity, .. }
+                    if b.client == gclient && b.client_port == port =>
+                {
+                    Some((bix, capacity))
+                }
+                _ => None,
+            });
+        let Some((gbix, capacity)) = found else {
+            return Err(FrameworkError::Binding(format!(
+                "no asynchronous binding on client port '{port}' of '{client}'"
+            )));
         };
         let old_server_g = self.sys.spec.bindings[gbix].server;
         let server_port = self.sys.spec.bindings[gbix].server_port.clone();
@@ -1556,7 +1723,7 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
             .port_ix_of(server_slot, &server_port)?;
 
         // Architecture first (stricter checks), then the ring + engine.
-        let arch = self.arch_rebind(client, port, new_server)?;
+        let arch = self.arch_rebind(gclient, port, gserver)?;
 
         let slot_bytes = std::mem::size_of::<std::sync::Mutex<Option<P>>>().max(1);
         let ring = spsc_ring::<P>(capacity)
@@ -1571,7 +1738,7 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
             Ok(pair) => pair,
             Err(e) => {
                 if let Some(record) = &arch {
-                    Self::arch_unrebind(&mut self.sys.arch, port, record);
+                    arch_unrebind(&mut self.sys.arch, port, record);
                 }
                 return Err(e);
             }
@@ -1631,7 +1798,7 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
             shard: producer_shard,
             bytes: capacity.next_power_of_two() * slot_bytes,
         });
-        self.journal.push(PUndo::AsyncRewire {
+        self.journal.push(Undo::AsyncRewire {
             gbix,
             old_carrier,
             old_server_g,
@@ -1646,63 +1813,67 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
     }
 
     /// Re-homes a component onto another ThreadDomain **of its own
-    /// shard**. The engine adopts the new domain's context and priority;
-    /// when the deployment carries an architecture and the domain edge
-    /// moves the component under a different memory area, the allocation
-    /// region migrates with it — a checkpoint/handoff re-homing: the
-    /// slot's scope chain and every dispatch plan touching it are
-    /// recompiled against the new region, and the migrated state's charge
-    /// is deferred to commit. Commit-time validation re-checks
-    /// SOL-001/002/005/006 against the move.
+    /// shard** (the component must be a *direct* member of its current
+    /// domain, if any). The engine adopts the new domain's context and
+    /// priority; when the deployment carries an architecture and the
+    /// domain edge moves the component under a different memory area, the
+    /// allocation region migrates with it — a checkpoint/handoff
+    /// re-homing: the slot's scope chain and every dispatch plan touching
+    /// it are recompiled against the new region through the same
+    /// constructors build uses, and the migrated state's charge is
+    /// deferred to commit, so a refused transaction stays charge-neutral.
+    /// Commit-time validation re-checks SOL-001/002/005/006 against the
+    /// move.
     ///
     /// The domain partition itself is static: a reassignment onto a
     /// domain materialized on a *different* shard would migrate the
     /// component across OS threads and is refused, as is a re-homing onto
-    /// a memory area owned by another shard.
+    /// a memory area not materialized on the component's shard.
     ///
     /// # Errors
     ///
     /// [`FrameworkError::Content`] for unknown domains,
     /// [`FrameworkError::Binding`] for indirect domain membership,
-    /// [`FrameworkError::Unsupported`] for cross-shard moves.
+    /// [`FrameworkError::Unsupported`] for cross-shard moves or a move
+    /// that would leave the component outside every memory area.
     pub fn reassign_domain(&mut self, component: &str, domain: &str) -> Result<(), FrameworkError> {
-        let g = self.gix(component)?;
-        let (shard, slot) = self.sys.comp_slot[g];
-        let Some(new_domain_ix) = self.sys.shards[shard].system.domain_ix_by_name(domain) else {
-            return Err(
-                match self.sys.spec.domains.iter().position(|d| d.name == domain) {
-                    Some(gd) => {
-                        let owner = self
-                            .sys
-                            .shards
-                            .iter()
-                            .position(|s| s.domains.iter().any(|d| d == domain))
-                            .unwrap_or(gd);
-                        FrameworkError::Unsupported(format!(
-                            "domain '{domain}' is materialized on shard {owner} ('{}'); \
-                             '{component}' runs on shard {shard} ('{}') and components \
-                             never migrate across the static domain partition",
-                            self.sys.shards[owner].label, self.sys.shards[shard].label
-                        ))
-                    }
-                    None => FrameworkError::Content(format!("unknown thread domain '{domain}'")),
-                },
-            );
-        };
-        let g_domain = self
-            .sys
-            .spec
-            .domains
-            .iter()
-            .position(|d| d.name == domain)
-            .expect("shard domains are a subset of the plan's");
+        self.reassign_domain_at(self.sys.gix(component)?, domain)
+    }
 
-        // Architectural edge dance + area-change detection (arch-carrying
+    /// [`reassign_domain`](Self::reassign_domain) by global component
+    /// index.
+    pub(crate) fn reassign_domain_at(
+        &mut self,
+        g: usize,
+        domain: &str,
+    ) -> Result<(), FrameworkError> {
+        let sys = &mut *self.sys;
+        let (shard, slot) = sys.comp_slot[g];
+        let component = sys.spec.components[g].name.as_str();
+        let g_domain = sys.spec.domains.iter().position(|d| d.name == domain);
+        let local = sys.shards[shard].system.domain_ix_by_name(domain);
+        let (Some(g_domain), Some(new_domain_ix)) = (g_domain, local) else {
+            return Err(match sys.shard_of_domain(domain) {
+                Some(owner) => FrameworkError::Unsupported(format!(
+                    "domain '{domain}' is materialized on shard {owner} ('{}'); \
+                     '{component}' runs on shard {shard} ('{}') and components \
+                     never migrate across the static domain partition",
+                    sys.shards[owner].label, sys.shards[shard].label
+                )),
+                None => FrameworkError::Content(format!("unknown thread domain '{domain}'")),
+            });
+        };
+
+        // Architectural edge dance + area-change detection (mirrored
         // deployments only — `build` without an architecture reconfigures
-        // the engine alone).
-        let mut arch_undo: Option<(ComponentId, Option<ComponentId>, ComponentId)> = None;
+        // the engine alone). The `remove_child` result guards against
+        // indirect membership (the component sits inside a composite
+        // inside the domain): moving the direct edge would not actually
+        // re-home it, so refuse.
+        let mut arch_undo: Option<DomainEdge> = None;
         let mut rehome_target: Option<String> = None;
-        if let Some(arch) = self.sys.arch.as_mut() {
+        if sys.mirrored {
+            let arch = &mut sys.arch;
             let comp = arch
                 .id_of(component)
                 .map_err(|e| FrameworkError::Content(e.to_string()))?;
@@ -1734,6 +1905,7 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
                 }
                 return Err(FrameworkError::Binding(e.to_string()));
             }
+            let edge = (comp, old_domain_id, new_domain_id);
             let new_area = arch.memory_area_of(comp).map(|(id, _)| id);
             if new_area != old_area {
                 // The domain edge re-homed the allocation region: migrate
@@ -1741,89 +1913,62 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
                 let name = new_area
                     .and_then(|id| arch.component(id).ok())
                     .map(|c| c.name.clone());
-                match name {
-                    Some(name) => rehome_target = Some(name),
-                    None => {
-                        assert!(
-                            arch.remove_child(new_domain_id, comp),
-                            "edge added above must exist"
-                        );
-                        if let Some(old) = old_domain_id {
-                            arch.add_child(old, comp)
-                                .expect("restoring an edge that existed before the transaction");
-                        }
-                        return Err(FrameworkError::Unsupported(format!(
-                            "reassigning '{component}' to domain '{domain}' would move it \
-                             outside every memory area; components keep an allocation region"
-                        )));
-                    }
-                }
+                let Some(name) = name else {
+                    restore_domain_edge(arch, edge);
+                    return Err(FrameworkError::Unsupported(format!(
+                        "reassigning '{component}' to domain '{domain}' would move it \
+                         outside every memory area; components keep an allocation region"
+                    )));
+                };
+                rehome_target = Some(name);
             }
-            arch_undo = Some((comp, old_domain_id, new_domain_id));
+            arch_undo = Some(edge);
         }
 
         // Engine half: re-home the allocation region first (it can
         // refuse), then the domain seat (infallible).
         let mut rehome = None;
         if let Some(area_name) = rehome_target {
-            let restore_arch = |arch: &mut Option<Architecture>| {
-                let (comp, old_domain_id, new_domain_id) =
-                    arch_undo.as_ref().expect("rehome implies arch");
-                let arch = arch.as_mut().expect("rehome implies arch");
-                assert!(
-                    arch.remove_child(*new_domain_id, *comp),
-                    "edge added above must exist"
-                );
-                if let Some(old) = old_domain_id {
-                    arch.add_child(*old, *comp)
-                        .expect("restoring an edge that existed before the transaction");
-                }
+            let system = &mut sys.shards[shard].system;
+            let new_g = sys.spec.areas.iter().position(|a| a.name == area_name);
+            let moved = match (new_g, system.area_ix_by_name(&area_name)) {
+                (Some(new_g), Some(new_ix)) => system
+                    .rehome_area_at(slot, new_ix)
+                    .map(|old_ix| (new_g, new_ix, old_ix)),
+                _ => Err(FrameworkError::Unsupported(format!(
+                    "re-homing '{component}' onto memory area '{area_name}' is impossible: \
+                     the area is not materialized on its shard ('{}')",
+                    sys.shards[shard].label
+                ))),
             };
-            let Some(new_area_ix) = self.sys.shards[shard].system.area_ix_by_name(&area_name)
-            else {
-                restore_arch(&mut self.sys.arch);
-                return Err(FrameworkError::Unsupported(format!(
-                    "re-homing '{component}' onto memory area '{area_name}' crosses the \
-                     shard partition: the area is materialized on another shard",
-                )));
-            };
-            let old_local = match self.sys.shards[shard]
-                .system
-                .rehome_area_at(slot, new_area_ix)
-            {
-                Ok(old) => old,
+            let (new_g, new_ix, old_ix) = match moved {
+                Ok(moved) => moved,
                 Err(e) => {
-                    restore_arch(&mut self.sys.arch);
+                    if let Some(edge) = arch_undo {
+                        restore_domain_edge(&mut sys.arch, edge);
+                    }
                     return Err(e);
                 }
             };
-            let old_g = self.sys.spec.components[g].area;
-            let new_g = self
-                .sys
-                .spec
-                .areas
-                .iter()
-                .position(|a| a.name == area_name)
-                .expect("shard areas are a subset of the plan's");
-            self.sys.spec.components[g].area = new_g;
             self.pending_charges.push(PendingCharge::Area {
                 shard,
-                area_ix: new_area_ix,
-                bytes: self.sys.shards[shard].system.state_bytes_at(slot),
+                area_ix: new_ix,
+                bytes: sys.shards[shard].system.state_bytes_at(slot),
             });
-            rehome = Some((old_local, old_g));
+            rehome = Some((
+                old_ix,
+                std::mem::replace(&mut sys.spec.components[g].area, new_g),
+            ));
         }
 
-        let old_domain_ix = self.sys.shards[shard].system.node_domain_ix(slot);
-        self.sys.shards[shard]
-            .system
-            .set_domain_at(slot, Some(new_domain_ix));
-        let old_domain_g = self.sys.spec.components[g].domain;
-        self.sys.spec.components[g].domain = Some(g_domain);
+        let system = &mut sys.shards[shard].system;
+        let old_domain_ix = system.node_domain_ix(slot);
+        system.set_domain_at(slot, Some(new_domain_ix));
+        let old_domain_g = sys.spec.components[g].domain.replace(g_domain);
         // The slot's priority changed with its domain: re-sort the drain
         // order its shard serves rings in.
-        resort_incoming(&mut self.sys.shards[shard]);
-        self.journal.push(PUndo::Domain {
+        resort_incoming(&mut sys.shards[shard]);
+        self.journal.push(Undo::Domain {
             shard,
             slot,
             g,
@@ -1846,9 +1991,15 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
     /// [`FrameworkError::Unsupported`] in the merged modes,
     /// [`FrameworkError::Content`] for unknown components.
     pub fn install_jitter_monitor(&mut self, component: &str) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
+        self.install_jitter_monitor_at(self.sys.gix(component)?)
+    }
+
+    /// [`install_jitter_monitor`](Self::install_jitter_monitor) by global
+    /// component index.
+    pub(crate) fn install_jitter_monitor_at(&mut self, g: usize) -> Result<(), FrameworkError> {
+        let (shard, slot) = self.sys.comp_slot[g];
         if self.sys.shards[shard].system.enable_jitter_at(slot)? {
-            self.journal.push(PUndo::RemoveInterceptor {
+            self.journal.push(Undo::RemoveInterceptor {
                 shard,
                 slot,
                 name: "jitter-monitor",
@@ -1859,34 +2010,41 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
 
     /// Removes a jitter monitor from a live membrane (SOLEIL only); true
     /// when one was removed. Rollback splices the exact step — recorded
-    /// observations included — back at its old chain position.
+    /// observations included — back at its old chain position, so a
+    /// refused transaction restores the compiled plan byte-identically.
     ///
     /// # Errors
     ///
     /// [`FrameworkError::Unsupported`] in the merged modes,
     /// [`FrameworkError::Content`] for unknown components.
     pub fn remove_jitter_monitor(&mut self, component: &str) -> Result<bool, FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
-        match self.sys.shards[shard]
+        self.remove_jitter_monitor_at(self.sys.gix(component)?)
+    }
+
+    /// [`remove_jitter_monitor`](Self::remove_jitter_monitor) by global
+    /// component index.
+    pub(crate) fn remove_jitter_monitor_at(&mut self, g: usize) -> Result<bool, FrameworkError> {
+        let (shard, slot) = self.sys.comp_slot[g];
+        let Some((index, step)) = self.sys.shards[shard]
             .system
             .take_interceptor_at(slot, "jitter-monitor")?
-        {
-            Some((index, step)) => {
-                self.journal.push(PUndo::InstallStep {
-                    shard,
-                    slot,
-                    index,
-                    step,
-                });
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        else {
+            return Ok(false);
+        };
+        self.journal.push(Undo::InstallStep {
+            shard,
+            slot,
+            index,
+            step,
+        });
+        Ok(true)
     }
 
     /// Attaches (or replaces) a declarative timing contract on a live
     /// component; rollback restores the previous monitor slot, recorded
-    /// histogram included.
+    /// histogram included. Works in any reconfigurable mode, since
+    /// contracts are engine-level observability rather than membrane
+    /// machinery.
     ///
     /// # Errors
     ///
@@ -1896,11 +2054,21 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
         component: &str,
         contract: TimingContract,
     ) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
+        self.attach_contract_at(self.sys.gix(component)?, contract)
+    }
+
+    /// [`attach_contract`](Self::attach_contract) by global component
+    /// index.
+    pub(crate) fn attach_contract_at(
+        &mut self,
+        g: usize,
+        contract: TimingContract,
+    ) -> Result<(), FrameworkError> {
+        let (shard, slot) = self.sys.comp_slot[g];
         let previous = self.sys.shards[shard]
             .system
             .attach_contract_at(slot, contract)?;
-        self.journal.push(PUndo::Contract {
+        self.journal.push(Undo::Contract {
             shard,
             slot,
             previous,
@@ -1909,29 +2077,36 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
     }
 
     /// Detaches a component's timing contract; `true` when one was
-    /// attached.
+    /// attached. Rollback restores the exact monitor slot, recorded
+    /// histogram included.
     ///
     /// # Errors
     ///
     /// [`FrameworkError::Content`] for unknown components.
     pub fn detach_contract(&mut self, component: &str) -> Result<bool, FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
-        match self.sys.shards[shard].system.detach_contract_at(slot) {
-            Some(previous) => {
-                self.journal.push(PUndo::Contract {
-                    shard,
-                    slot,
-                    previous: Some(previous),
-                });
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        self.detach_contract_at(self.sys.gix(component)?)
+    }
+
+    /// [`detach_contract`](Self::detach_contract) by global component
+    /// index.
+    pub(crate) fn detach_contract_at(&mut self, g: usize) -> Result<bool, FrameworkError> {
+        let (shard, slot) = self.sys.comp_slot[g];
+        let Some(previous) = self.sys.shards[shard].system.detach_contract_at(slot) else {
+            return Ok(false);
+        };
+        self.journal.push(Undo::Contract {
+            shard,
+            slot,
+            previous: Some(previous),
+        });
+        Ok(true)
     }
 
     /// Declares (or changes) a component's [`FaultPolicy`]; rollback
     /// restores the pre-transaction policy (and cancels any restart timer
-    /// the new policy armed).
+    /// the new policy armed). Like contracts, this works in any
+    /// reconfigurable mode — the policy is engine-level supervision, not
+    /// membrane structure.
     ///
     /// # Errors
     ///
@@ -1941,11 +2116,21 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
         component: &str,
         policy: FaultPolicy,
     ) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
+        self.set_fault_policy_at(self.sys.gix(component)?, policy)
+    }
+
+    /// [`set_fault_policy`](Self::set_fault_policy) by global component
+    /// index.
+    pub(crate) fn set_fault_policy_at(
+        &mut self,
+        g: usize,
+        policy: FaultPolicy,
+    ) -> Result<(), FrameworkError> {
+        let (shard, slot) = self.sys.comp_slot[g];
         let previous = self.sys.shards[shard]
             .system
             .set_fault_policy_at(slot, policy)?;
-        self.journal.push(PUndo::Policy {
+        self.journal.push(Undo::Policy {
             shard,
             slot,
             previous,
@@ -1954,10 +2139,11 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
     }
 
     /// Declares (or clears) a component's supervisor edge, journaled;
-    /// rollback restores the pre-transaction edge. Supervision trees are
-    /// shard-local (see [`ParallelSystem::set_supervisor`]): a cross-shard
-    /// edge is refused eagerly, and every shard's tree is re-validated at
-    /// commit time.
+    /// rollback restores the pre-transaction edge. Cycle and validity
+    /// checks run eagerly here, supervision trees are shard-local (see
+    /// [`ParallelSystem::set_supervisor`]: a cross-shard edge is refused
+    /// eagerly), and every shard's tree is re-validated at commit time, so
+    /// a committed transaction never leaves a broken tree behind.
     ///
     /// # Errors
     ///
@@ -1969,25 +2155,23 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
         component: &str,
         supervisor: Option<&str>,
     ) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
-        let sup_slot = match supervisor {
-            Some(name) => {
-                let (sup_shard, sup_slot) = self.sys.locate(name)?;
-                if sup_shard != shard {
-                    return Err(FrameworkError::Unsupported(format!(
-                        "supervisor edge '{component}' -> '{name}' crosses shards \
-                         ({shard} -> {sup_shard}); supervision trees are shard-local \
-                         — escalation must never block on another shard's thread"
-                    )));
-                }
-                Some(sup_slot)
-            }
-            None => None,
-        };
+        let g = self.sys.gix(component)?;
+        let sup = supervisor.map(|name| self.sys.gix(name)).transpose()?;
+        self.set_supervisor_at(g, sup)
+    }
+
+    /// [`set_supervisor`](Self::set_supervisor) by global component
+    /// indices.
+    pub(crate) fn set_supervisor_at(
+        &mut self,
+        g: usize,
+        supervisor: Option<usize>,
+    ) -> Result<(), FrameworkError> {
+        let (shard, slot, sup_slot) = self.sys.supervision_edge(g, supervisor)?;
         let previous = self.sys.shards[shard]
             .system
             .set_supervisor_at(slot, sup_slot)?;
-        self.journal.push(PUndo::Supervisor {
+        self.journal.push(Undo::Supervisor {
             shard,
             slot,
             previous,
@@ -1997,31 +2181,28 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
 
     /// Commit-time validation: the plan's own invariants, the partition
     /// invariants (synchronous bindings co-sharded; every allocation
-    /// region materialized on its component's shard), and — for
-    /// architecture-carrying deployments — the full RTSJ rule set plus
-    /// the parallel coupling analysis.
+    /// region materialized on its component's shard), every shard's
+    /// supervision tree, and — for mirrored deployments — the full RTSJ
+    /// rule set. Compliance is decided by [`validate`] alone; the SOL-015
+    /// coupling advisory is computed only on refusal, to explain it.
     fn validate_commit(&self) -> Result<(), FrameworkError> {
-        self.sys.spec.check().map_err(FrameworkError::Content)?;
-        for (bix, b) in self.sys.spec.bindings.iter().enumerate() {
+        let sys = &*self.sys;
+        sys.spec.check().map_err(FrameworkError::Content)?;
+        for (bix, b) in sys.spec.bindings.iter().enumerate() {
             if matches!(b.protocol, ProtocolSpec::Sync)
-                && self.sys.comp_slot[b.client].0 != self.sys.comp_slot[b.server].0
+                && sys.comp_slot[b.client].0 != sys.comp_slot[b.server].0
             {
                 return Err(FrameworkError::Content(format!(
                     "partition invariant broken: synchronous binding {bix} \
                      ({}→{}) crosses shards",
-                    self.sys.spec.components[b.client].name,
-                    self.sys.spec.components[b.server].name
+                    sys.spec.components[b.client].name, sys.spec.components[b.server].name
                 )));
             }
         }
-        for (g, c) in self.sys.spec.components.iter().enumerate() {
-            let (shard, _) = self.sys.comp_slot[g];
-            let area = &self.sys.spec.areas[c.area].name;
-            if self.sys.shards[shard]
-                .system
-                .area_ix_by_name(area)
-                .is_none()
-            {
+        for (g, c) in sys.spec.components.iter().enumerate() {
+            let (shard, _) = sys.comp_slot[g];
+            let area = &sys.spec.areas[c.area].name;
+            if sys.shards[shard].system.area_ix_by_name(area).is_none() {
                 return Err(FrameworkError::Content(format!(
                     "partition invariant broken: '{}' charges area '{area}' which is not \
                      materialized on its shard {shard}",
@@ -2032,12 +2213,13 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
         // Every shard's supervision tree stays valid and acyclic. Eager
         // checks in `set_supervisor` make a failure here a framework bug,
         // but commits re-assert the invariant like the partition rules.
-        for s in &self.sys.shards {
+        for s in &sys.shards {
             s.system.check_supervision()?;
         }
-        if let Some(arch) = &self.sys.arch {
-            let report = parallel_reconfiguration_report(arch);
+        if sys.mirrored {
+            let mut report = validate(&sys.arch);
             if !report.is_compliant() {
+                report.merge(parallel_coupling(&sys.arch));
                 return Err(FrameworkError::Rejected(report));
             }
         }
@@ -2058,22 +2240,22 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
         }
     }
 
-    /// Replays every shard's journal in reverse, restoring engines, ring
-    /// topology, spec and architecture. Each undo reverses an operation
-    /// that succeeded against a valid state, so failures here are
-    /// framework bugs — surfaced loudly.
+    /// Replays the journal in reverse — the one rollback — restoring
+    /// engines, ring topology, spec and architecture. Each undo reverses
+    /// an operation that succeeded against a valid state, so failures
+    /// here are framework bugs — surfaced loudly.
     fn rollback(&mut self) {
         while let Some(undo) = self.journal.pop() {
             match undo {
-                PUndo::Stop { shard, slot } => self.sys.shards[shard]
+                Undo::Stop { shard, slot } => self.sys.shards[shard]
                     .system
                     .stop_at(slot)
                     .expect("rollback stop of a slot started by this transaction"),
-                PUndo::Start { shard, slot } => self.sys.shards[shard]
+                Undo::Start { shard, slot } => self.sys.shards[shard]
                     .system
                     .start_at(slot)
                     .expect("rollback restart of a slot stopped by this transaction"),
-                PUndo::Rebind {
+                Undo::Rebind {
                     shard,
                     client_slot,
                     port,
@@ -2088,10 +2270,10 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
                         .expect("rollback rebind to the pre-transaction server");
                     self.sys.spec.bindings[gbix].server = old_server_g;
                     if let Some(record) = &arch {
-                        Self::arch_unrebind(&mut self.sys.arch, &port, record);
+                        arch_unrebind(&mut self.sys.arch, &port, record);
                     }
                 }
-                PUndo::AsyncRewire {
+                Undo::AsyncRewire {
                     gbix,
                     old_carrier,
                     old_server_g,
@@ -2124,10 +2306,10 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
                     self.sys.carriers[gbix] = old_carrier;
                     self.sys.spec.bindings[gbix].server = old_server_g;
                     if let Some(record) = &arch {
-                        Self::arch_unrebind(&mut self.sys.arch, &port, record);
+                        arch_unrebind(&mut self.sys.arch, &port, record);
                     }
                 }
-                PUndo::Domain {
+                Undo::Domain {
                     shard,
                     slot,
                     g,
@@ -2148,23 +2330,11 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
                     }
                     self.sys.spec.components[g].domain = old_domain_g;
                     resort_incoming(&mut self.sys.shards[shard]);
-                    if let Some((comp, old_domain_id, new_domain_id)) = arch {
-                        let arch = self
-                            .sys
-                            .arch
-                            .as_mut()
-                            .expect("record exists only with an arch");
-                        assert!(
-                            arch.remove_child(new_domain_id, comp),
-                            "rollback: transaction domain edge vanished from the architecture"
-                        );
-                        if let Some(old) = old_domain_id {
-                            arch.add_child(old, comp)
-                                .expect("rollback restore of the pre-transaction domain edge");
-                        }
+                    if let Some(edge) = arch {
+                        restore_domain_edge(&mut self.sys.arch, edge);
                     }
                 }
-                PUndo::RemoveInterceptor { shard, slot, name } => {
+                Undo::RemoveInterceptor { shard, slot, name } => {
                     let removed = self.sys.shards[shard]
                         .system
                         .remove_interceptor_at(slot, name)
@@ -2174,7 +2344,7 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
                         "rollback: interceptor installed by this transaction vanished"
                     );
                 }
-                PUndo::InstallStep {
+                Undo::InstallStep {
                     shard,
                     slot,
                     index,
@@ -2185,7 +2355,7 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
                         .insert_step_at(slot, index, step)
                         .expect("rollback reinstall in a mode that removed it");
                 }
-                PUndo::Contract {
+                Undo::Contract {
                     shard,
                     slot,
                     previous,
@@ -2194,7 +2364,7 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
                         .system
                         .restore_contract_at(slot, previous);
                 }
-                PUndo::Policy {
+                Undo::Policy {
                     shard,
                     slot,
                     previous,
@@ -2204,7 +2374,7 @@ impl<P: Payload> ParallelReconfiguration<'_, P> {
                         .set_fault_policy_at(slot, previous)
                         .expect("rollback restore of a policy set by this transaction");
                 }
-                PUndo::Supervisor {
+                Undo::Supervisor {
                     shard,
                     slot,
                     previous,
@@ -2933,6 +3103,7 @@ mod tests {
         let mut sys =
             ParallelSystem::build(&fan_spec(), Mode::MergeAll, &registry(&probe)).unwrap();
         sys.run_ticks(2).unwrap();
+        let handle = sys.schedule_release("producer", AbsoluteTime::MAX).unwrap();
         let err = sys
             .run_ticks_instrumented(0, 3, &|| -> u64 { panic!("probe exploded") })
             .unwrap_err();
@@ -2951,6 +3122,18 @@ mod tests {
         for refused in [
             sys.run_ticks(1).unwrap_err(),
             sys.reconfigure(|_txn| Ok(())).unwrap_err(),
+            sys.schedule_release("producer", AbsoluteTime::MAX)
+                .unwrap_err(),
+            sys.cancel_release("producer", handle).unwrap_err(),
+            sys.attach_contract("consumerB", TimingContract::new())
+                .unwrap_err(),
+            sys.set_fault_policy("consumerB", FaultPolicy::Isolate)
+                .unwrap_err(),
+            sys.restart_component("consumerB").unwrap_err(),
+            sys.install_fault_injector("consumerB", FaultInjector::new("consumerB", 7, 0))
+                .unwrap_err(),
+            sys.set_supervisor("consumerB", None).unwrap_err(),
+            sys.enable_checkpoint("consumerB", 1).unwrap_err(),
         ] {
             let FrameworkError::RunToCompletion(m) = &refused else {
                 panic!("expected a run-to-completion refusal, got {refused:?}");
