@@ -500,8 +500,9 @@ pub fn run_parallel_steady(
     // The same monitored-hot-path discipline as the serial rows: a
     // generous contract on the head's shard and an armed release that
     // never comes due within the run.
-    sys.attach_contract("ProductionLine", baseline_contract())?;
-    sys.schedule_release("ProductionLine", AbsoluteTime::MAX)?;
+    let head = sys.resolve("ProductionLine")?;
+    sys.attach_contract(head, baseline_contract())?;
+    sys.schedule_release(head, AbsoluteTime::MAX)?;
     // Warm up outside the instrumented run so the one-time interning scans
     // stay out of the measured dispatch-counter deltas.
     sys.run_ticks(warmup as u64)?;
@@ -1224,15 +1225,18 @@ pub fn run_reconfig_gate(
     let mut rows = Vec::with_capacity(2);
     for mode in [Mode::Soleil, Mode::MergeAll] {
         let mut sys = deploy_parallel(&arch, mode, &reconfig_registry())?;
-        sys.attach_contract("producer", baseline_contract())?;
+        let producer = sys.resolve("producer")?;
+        let consumer_b = sys.resolve("consumerB")?;
+        let consumer_c = sys.resolve("consumerC")?;
+        sys.attach_contract(producer, baseline_contract())?;
         sys.run_ticks(ticks_per_txn)?;
 
         // Refusal probe: the combined transaction aborts at the last step;
         // every shard engine must come back byte-identical.
         let digests = sys.structural_digests();
         let refusal = sys.reconfigure(|txn| -> Result<(), FrameworkError> {
-            txn.rebind_async("producer", "out1", "consumerC")?;
-            txn.reassign_domain("consumerB", "C")?;
+            txn.rebind_async(producer, "out1", consumer_c)?;
+            txn.reassign_domain(consumer_b, "C")?;
             Err(FrameworkError::Content(
                 "reconfig-gate refusal probe".into(),
             ))
@@ -1245,14 +1249,10 @@ pub fn run_reconfig_gate(
         for i in 0..transactions {
             let flip = i % 2 == 0;
             sys.reconfigure(|txn| {
-                txn.rebind_async(
-                    "producer",
-                    "out1",
-                    if flip { "consumerC" } else { "consumerB" },
-                )?;
-                txn.reassign_domain("consumerB", if flip { "C" } else { "B" })?;
+                txn.rebind_async(producer, "out1", if flip { consumer_c } else { consumer_b })?;
+                txn.reassign_domain(consumer_b, if flip { "C" } else { "B" })?;
                 txn.set_fault_policy(
-                    "consumerC",
+                    consumer_c,
                     if flip {
                         FaultPolicy::Isolate
                     } else {

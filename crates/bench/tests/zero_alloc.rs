@@ -170,17 +170,20 @@ fn parallel_steady_state_is_allocation_free_on_every_thread() {
         sys.shard_count()
     );
 
+    let head = sys.resolve("ProductionLine").expect("head resolves");
+    let monitoring = sys.resolve("MonitoringSystem").expect("resolves");
+
     // Same monitored-hot-path discipline as the serial gate: contract on
     // the head's shard, release armed but never due.
-    sys.attach_contract("ProductionLine", soleil_bench::baseline_contract())
+    sys.attach_contract(head, soleil_bench::baseline_contract())
         .expect("contract attaches");
-    sys.schedule_release("ProductionLine", AbsoluteTime::MAX)
+    sys.schedule_release(head, AbsoluteTime::MAX)
         .expect("release arms");
 
     // Parallel shards pay the same nothing for supervision: restart policy
     // plus idle injector on the head's shard, isolation on a sibling shard.
     sys.set_fault_policy(
-        "ProductionLine",
+        head,
         FaultPolicy::Restart {
             max_restarts: 3,
             window: RelativeTime::from_millis(1_000),
@@ -188,12 +191,9 @@ fn parallel_steady_state_is_allocation_free_on_every_thread() {
         },
     )
     .expect("policy attaches");
-    sys.install_fault_injector(
-        "ProductionLine",
-        FaultInjector::new("ProductionLine", 0xC0FFEE, 0),
-    )
-    .expect("idle injector installs");
-    sys.set_fault_policy("MonitoringSystem", FaultPolicy::Isolate)
+    sys.install_fault_injector(head, FaultInjector::new("ProductionLine", 0xC0FFEE, 0))
+        .expect("idle injector installs");
+    sys.set_fault_policy(monitoring, FaultPolicy::Isolate)
         .expect("policy attaches");
 
     // Supervision trees are shard-local by design — escalation must never
@@ -202,13 +202,13 @@ fn parallel_steady_state_is_allocation_free_on_every_thread() {
     // refused (the recorded limit) while the warm-state Checkpoint
     // capability, being per-component, arms fine on the head's shard.
     let err = sys
-        .set_supervisor("ProductionLine", Some("MonitoringSystem"))
+        .set_supervisor(head, Some(monitoring))
         .expect_err("cross-shard supervisor edges are refused");
     assert!(
         err.to_string().contains("shard"),
         "refusal must name the shard boundary: {err}"
     );
-    sys.enable_checkpoint("ProductionLine", CADENCE)
+    sys.enable_checkpoint(head, CADENCE)
         .expect("capability enables on the shard");
 
     // Warm up separately so the dispatch-counter deltas below cover only
@@ -257,18 +257,18 @@ fn parallel_steady_state_is_allocation_free_on_every_thread() {
         "the baseline contract must never miss on any shard"
     );
     let (seen, injected) = sys
-        .injector_counts("ProductionLine")
+        .injector_counts(head)
         .expect("head resolves")
         .expect("injector installed");
     assert_eq!(seen, WARMUP as u64 + OBSERVATIONS, "injector armed");
     assert_eq!(injected, 0, "idle injector must never fire");
     assert_eq!(
-        sys.supervision_counts("ProductionLine").expect("resolves"),
+        sys.supervision_counts(head).expect("resolves"),
         (0, 0, 0),
         "supervision counters must stay untouched on the healthy parallel path"
     );
     assert_eq!(
-        sys.checkpoint_counts("ProductionLine")
+        sys.checkpoint_counts(head)
             .expect("resolves")
             .expect("capability enabled"),
         (1 + (WARMUP as u64 + OBSERVATIONS) / CADENCE as u64, 0),

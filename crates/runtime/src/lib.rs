@@ -45,13 +45,13 @@
 //! component's plan. Quarantined components count-drop their messages
 //! (never silently lost) and surface through `health_report()` as
 //! SOL-020…022 findings. Components additionally form **supervision
-//! trees** (`Deployment::set_supervisor`): a fault escalating out of an
+//! trees** (`ParallelSystem::set_supervisor`): a fault escalating out of an
 //! `Escalate` component walks up the tree, and the first supervisor with
 //! a containing policy applies it to the failed *subtree* — isolating it
 //! with counted drops or restarting it as a unit through the timer queue
 //! — while sibling branches keep running; the walked path surfaces as a
 //! SOL-023 verdict. Components opting into the warm-state **Checkpoint
-//! capability** (`Deployment::enable_checkpoint`) carry their counters
+//! capability** (`ParallelSystem::enable_checkpoint`) carry their counters
 //! across supervised restarts through bounded, preallocated state images
 //! charged to their allocation area.
 //!
@@ -74,10 +74,10 @@ pub mod spec;
 pub mod system;
 pub mod timer;
 
-pub use deploy::{ComponentRef, Deployment, PortRef, Reconfiguration};
+pub use deploy::Deployment;
 pub use footprint::FootprintReport;
 pub use instrument::LatencySamples;
-pub use parallel::{ParallelReconfiguration, ParallelSystem, ShardRun};
+pub use parallel::{ComponentRef, ParallelSystem, PortRef, Reconfiguration, ShardRun};
 pub use sim::{run_recovery_campaign, RecoveryEpisode, RecoveryMetrics};
 pub use spec::{Mode, SystemSpec};
 pub use system::{EngineStats, FaultPolicy, System};

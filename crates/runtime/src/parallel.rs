@@ -47,30 +47,40 @@
 //!    message exists anywhere — only then do the workers hand their
 //!    shards back. A panic on a worker is caught there: the run fails
 //!    with a typed error naming the shard, and the deployment is
-//!    *poisoned* — later runs, reconfigurations and mutating control
-//!    calls (timers, contracts, policies, restarts, injectors,
-//!    supervisors, checkpoints) refuse.
+//!    *poisoned* — later runs, reconfigurations and every mutating
+//!    control call refuse, and so does a serial deployment's inline hot
+//!    path.
 //!    Steady-state ticks allocate nothing on any thread: rings, slabs and
 //!    scope stacks are provisioned at build/warmup time.
-//! 4. **Reconfiguration.** [`ParallelSystem::reconfigure`] runs one
-//!    journaled transaction across the partition (see
-//!    [`ParallelReconfiguration`]). This is the only reconfiguration
-//!    engine: a serial [`crate::Deployment`] is this engine on a forced
-//!    **one-shard plan** (every component on shard 0, no rings), and its
-//!    typed transaction reaches the same operation bodies, the same
-//!    journal, the same rollback and the same commit path. Commit
+//! 4. **The control plane.** [`ParallelSystem::resolve`] turns a
+//!    component name into a [`ComponentRef`] once; the token carries the
+//!    deployment's identity, the component's global index, its shard and
+//!    its slot (placement never changes after build, so it cannot go
+//!    stale). Every per-component control — timers, contracts, fault
+//!    policies, quarantine and restart, injectors, supervisors,
+//!    checkpoints, latency snapshots, membrane/ceiling/jitter
+//!    introspection — exists once, here, and takes tokens: a token minted
+//!    by another deployment is refused, and mutators check the poison
+//!    flag. A serial [`crate::Deployment`] is this engine on a forced
+//!    **one-shard plan** (every component on shard 0, no rings) and
+//!    reaches the same control plane through `Deref`.
+//! 5. **Reconfiguration.** [`ParallelSystem::reconfigure`] runs one
+//!    journaled [`Reconfiguration`] transaction across the partition —
+//!    the only transaction type, serial and sharded alike: one operation
+//!    per kind, one journal, one rollback and one commit path. Commit
 //!    compliance is decided by the design-time validator alone; the
 //!    SOL-015 coupling advisory is computed only when a commit is
 //!    refused, to explain the refusal.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SendError, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::ThreadId;
 use std::time::Instant;
 
+use rtsj::thread::Priority;
 use rtsj::time::AbsoluteTime;
 use soleil_core::contract::TimingContract;
 use soleil_core::model::{ComponentId, ComponentKind, Protocol};
@@ -87,7 +97,8 @@ use crate::spec::{
     AreaSpec, BindingSpec, ComponentSpec, DomainSpec, Mode, ProtocolSpec, SystemSpec,
 };
 use crate::system::{
-    panic_detail, AsyncRepointUndo, CrossOutput, EngineStats, FaultPolicy, MonitorSlot, System,
+    panic_detail, AsyncRepointUndo, CrossOutput, EngineStats, FaultPolicy, MembraneInfo,
+    MonitorSlot, System,
 };
 use crate::timer::TimerHandle;
 
@@ -314,9 +325,39 @@ struct DrainStats {
     messages: u64,
 }
 
+/// Mints a fresh deployment identity (token-scoping nonce).
+static NEXT_DEPLOYMENT: AtomicU32 = AtomicU32::new(1);
+
+/// A component resolved within one deployment: a copyable token that
+/// addresses the component's shard and engine slot without any name
+/// resolution, plus its global spec index (the address reconfiguration
+/// journals against). Placement never changes after build, so a token
+/// cannot go stale; it carries the identity of the deployment that minted
+/// it, so another deployment refuses it instead of silently addressing the
+/// wrong slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ComponentRef {
+    deployment: u32,
+    g: u32,
+    shard: u32,
+    slot: u32,
+}
+
+/// A server port resolved within one deployment: shard, component slot
+/// and port index, the complete address an injection needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PortRef {
+    deployment: u32,
+    shard: u32,
+    slot: u32,
+    port_ix: u16,
+}
+
 /// A deployment sharded by thread domain, ticking every shard on its own
 /// OS thread. See the [module docs](self).
 pub struct ParallelSystem<P: Payload> {
+    /// Deployment identity: every token this deployment mints carries it.
+    nonce: u32,
     name: String,
     mode: Mode,
     shards: Vec<Shard<P>>,
@@ -443,6 +484,7 @@ impl<P: Payload> ParallelSystem<P> {
             }
         }
         Ok(ParallelSystem {
+            nonce: NEXT_DEPLOYMENT.fetch_add(1, Ordering::Relaxed),
             name: spec.name.clone(),
             mode,
             ctl: Arc::new(Ctl::new(shards.len(), in_flight)),
@@ -671,10 +713,10 @@ impl<P: Payload> ParallelSystem<P> {
             .position(|s| s.system.domain_ix_by_name(domain).is_some())
     }
 
-    /// The shard a component was planned into.
-    pub fn shard_of_component(&self, component: &str) -> Option<usize> {
-        let g = self.spec.component_index(component)?;
-        Some(self.comp_slot[g].0)
+    /// The shard a component was planned into; `None` for a token minted
+    /// by another deployment.
+    pub fn shard_of_component(&self, component: ComponentRef) -> Option<usize> {
+        self.locate(component).ok().map(|(shard, _)| shard)
     }
 
     /// Engine counters of one shard.
@@ -720,32 +762,408 @@ impl<P: Payload> ParallelSystem<P> {
         &self.shards[shard].system
     }
 
-    /// Mutable access to one shard's engine: the inline hot path of a
+    /// Mutable access to one shard's engine for the inline hot path of a
     /// one-shard [`crate::Deployment`], which never leases a worker.
-    pub(crate) fn shard_system_mut(&mut self, shard: usize) -> &mut System<P> {
-        &mut self.shards[shard].system
+    /// Refuses once the deployment is poisoned.
+    pub(crate) fn shard_system_mut(
+        &mut self,
+        shard: usize,
+    ) -> Result<&mut System<P>, FrameworkError> {
+        self.check_poisoned()?;
+        Ok(&mut self.shards[shard].system)
     }
 
-    /// The architectural model the deployment was built with (empty when
-    /// built without one).
-    pub(crate) fn architecture(&self) -> &Architecture {
+    /// The architecture this deployment currently implements — kept in
+    /// lock-step by [`reconfigure`](Self::reconfigure), so it always
+    /// describes the live bindings (empty when built without one).
+    pub fn architecture(&self) -> &Architecture {
         &self.arch
     }
 
     // -----------------------------------------------------------------
-    // Release engine: per-shard timers + runtime contracts
+    // Typed component addressing
     // -----------------------------------------------------------------
 
-    /// Global spec index of a component, by name.
-    fn gix(&self, component: &str) -> Result<usize, FrameworkError> {
-        self.spec
-            .component_index(component)
-            .ok_or_else(|| FrameworkError::Content(format!("unknown component '{component}'")))
+    /// Resolves a component name to its token — once, at the cold edge;
+    /// hold the [`ComponentRef`] for the hot loop. This is the only
+    /// component-addressed call that takes a name; the resolution counts
+    /// against the owning engine's [`System::name_lookups`].
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Content`] for unknown names.
+    pub fn resolve(&self, name: &str) -> Result<ComponentRef, FrameworkError> {
+        let g = self
+            .spec
+            .component_index(name)
+            .ok_or_else(|| FrameworkError::Content(format!("unknown component '{name}'")))?;
+        let token = self.token(g);
+        // Resolve through the owning engine too, so the lookup is counted
+        // where `name_lookups` reads it.
+        self.shards[token.shard as usize].system.slot_ix(name)?;
+        Ok(token)
     }
 
-    /// The shard and shard-local slot of a component, by name.
-    fn locate(&self, component: &str) -> Result<(usize, usize), FrameworkError> {
-        Ok(self.comp_slot[self.gix(component)?])
+    /// The token of global component `g`.
+    pub(crate) fn token(&self, g: usize) -> ComponentRef {
+        let (shard, slot) = self.comp_slot[g];
+        ComponentRef {
+            deployment: self.nonce,
+            g: g as u32,
+            shard: shard as u32,
+            slot: slot as u32,
+        }
+    }
+
+    /// The token of the component at `slot` of `shard`'s engine.
+    fn token_at(&self, shard: usize, slot: usize) -> Option<ComponentRef> {
+        let g = self.comp_slot.iter().position(|&at| at == (shard, slot))?;
+        Some(self.token(g))
+    }
+
+    /// The global spec index a token addresses, once it is checked to
+    /// come from this deployment.
+    fn g_of(&self, component: ComponentRef) -> Result<usize, FrameworkError> {
+        if component.deployment != self.nonce {
+            return Err(FrameworkError::Content(
+                "component ref was minted by a different deployment".into(),
+            ));
+        }
+        Ok(component.g as usize)
+    }
+
+    /// The shard and shard-local slot a token addresses, once it is
+    /// checked to come from this deployment.
+    fn locate(&self, component: ComponentRef) -> Result<(usize, usize), FrameworkError> {
+        self.g_of(component)?;
+        Ok((component.shard as usize, component.slot as usize))
+    }
+
+    /// The engine owning `component`, and its slot there.
+    fn engine(&self, component: ComponentRef) -> Result<(&System<P>, usize), FrameworkError> {
+        let (shard, slot) = self.locate(component)?;
+        Ok((&self.shards[shard].system, slot))
+    }
+
+    /// [`engine`](Self::engine) for a mutating call: also refuses once
+    /// the deployment is poisoned.
+    pub(crate) fn engine_mut(
+        &mut self,
+        component: ComponentRef,
+    ) -> Result<(&mut System<P>, usize), FrameworkError> {
+        let (shard, slot) = self.locate(component)?;
+        self.check_poisoned()?;
+        Ok((&mut self.shards[shard].system, slot))
+    }
+
+    /// Resolves a server port of a resolved component to its token.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Binding`] for unknown ports,
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn port(&self, component: ComponentRef, port: &str) -> Result<PortRef, FrameworkError> {
+        let (system, slot) = self.engine(component)?;
+        Ok(PortRef {
+            deployment: self.nonce,
+            shard: component.shard,
+            slot: component.slot,
+            port_ix: system.port_ix_of(slot, port)?,
+        })
+    }
+
+    /// The engine, slot and port index a port token addresses, for an
+    /// injection: refuses foreign tokens and poisoned deployments.
+    pub(crate) fn port_mut(
+        &mut self,
+        port: PortRef,
+    ) -> Result<(&mut System<P>, usize, u16), FrameworkError> {
+        if port.deployment != self.nonce {
+            return Err(FrameworkError::Content(
+                "port ref was minted by a different deployment".into(),
+            ));
+        }
+        self.check_poisoned()?;
+        let system = &mut self.shards[port.shard as usize].system;
+        Ok((system, port.slot as usize, port.port_ix))
+    }
+
+    /// The name a token resolves back to (diagnostics).
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn name_of(&self, component: ComponentRef) -> Result<&str, FrameworkError> {
+        Ok(&self.spec.components[self.g_of(component)?].name)
+    }
+
+    // -----------------------------------------------------------------
+    // The control plane. Every call takes typed tokens, refuses foreign
+    // ones with `FrameworkError::Content`, and — for mutators — refuses a
+    // poisoned deployment with `FrameworkError::RunToCompletion`.
+    // -----------------------------------------------------------------
+
+    /// Membrane-level introspection — SOLEIL mode only, per the paper.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Unsupported`] in the merged modes.
+    pub fn membrane_info(&self, component: ComponentRef) -> Result<MembraneInfo, FrameworkError> {
+        let (system, slot) = self.engine(component)?;
+        system.membrane_info_at(slot)
+    }
+
+    /// The priority ceiling the validator assigned to a shared passive
+    /// service, if any.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn ceiling_of(&self, component: ComponentRef) -> Result<Option<Priority>, FrameworkError> {
+        let (system, slot) = self.engine(component)?;
+        Ok(system.ceiling_at(slot))
+    }
+
+    /// Inter-activation gaps recorded by a component's jitter monitor
+    /// (installed with [`Reconfiguration::install_jitter_monitor`]), in
+    /// nanoseconds; empty when no monitor is installed.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Unsupported`] in the merged modes.
+    pub fn jitter_observations(&self, component: ComponentRef) -> Result<Vec<u64>, FrameworkError> {
+        let (system, slot) = self.engine(component)?;
+        system.jitter_at(slot)
+    }
+
+    /// Schedules an extra release of the periodic component at absolute
+    /// engine time `at`, on the timer queue of whichever shard it was
+    /// planned into (see [`System::schedule_release`]). A one-shard
+    /// [`crate::Deployment`] fires it during the first `run_tick` whose
+    /// clock reaches `at`, or an explicit `fire_timers_until`; a sharded
+    /// run fires it inside the shard worker's tick loop. The handle
+    /// cancels it.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Timer`] when the component is not periodic or
+    /// the preallocated queue is full.
+    pub fn schedule_release(
+        &mut self,
+        component: ComponentRef,
+        at: AbsoluteTime,
+    ) -> Result<TimerHandle, FrameworkError> {
+        let (system, slot) = self.engine_mut(component)?;
+        system.schedule_release(slot, at)
+    }
+
+    /// Cancels a release scheduled on `component`; `false` when the
+    /// handle is stale (already fired or cancelled) — generation-checked,
+    /// always safe. The component names the shard: handles are only
+    /// meaningful against the queue that issued them.
+    ///
+    /// # Errors
+    ///
+    /// Foreign refs; a poisoned deployment.
+    pub fn cancel_release(
+        &mut self,
+        component: ComponentRef,
+        handle: TimerHandle,
+    ) -> Result<bool, FrameworkError> {
+        let (system, _) = self.engine_mut(component)?;
+        Ok(system.cancel_release(handle))
+    }
+
+    /// Currently armed (scheduled, unfired, uncancelled) timers, summed
+    /// across shards.
+    pub fn armed_timers(&self) -> usize {
+        self.shards.iter().map(|s| s.system.armed_timers()).sum()
+    }
+
+    /// Attaches a declarative timing contract to a component (any mode —
+    /// engine-level observability, unlike the SOLEIL-only membrane
+    /// interceptors), replacing any previous contract. From then on every
+    /// activation of the component, on whichever shard's thread it runs,
+    /// is stamped into an allocation-free latency histogram with online
+    /// deadline/jitter checking; components without a contract keep
+    /// paying a single integer compare.
+    ///
+    /// # Errors
+    ///
+    /// Foreign refs; a poisoned deployment.
+    pub fn attach_contract(
+        &mut self,
+        component: ComponentRef,
+        contract: TimingContract,
+    ) -> Result<(), FrameworkError> {
+        let (system, slot) = self.engine_mut(component)?;
+        system.attach_contract_at(slot, contract).map(drop)
+    }
+
+    /// Detaches a component's timing contract (discarding its recorded
+    /// histogram); `true` when one was attached.
+    ///
+    /// # Errors
+    ///
+    /// Foreign refs; a poisoned deployment.
+    pub fn detach_contract(&mut self, component: ComponentRef) -> Result<bool, FrameworkError> {
+        let (system, slot) = self.engine_mut(component)?;
+        Ok(system.detach_contract_at(slot).is_some())
+    }
+
+    /// The timing contract attached to a component, if any.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn contract_of(
+        &self,
+        component: ComponentRef,
+    ) -> Result<Option<TimingContract>, FrameworkError> {
+        let (system, slot) = self.engine(component)?;
+        Ok(system.contract_at(slot).cloned())
+    }
+
+    /// A snapshot of a component's latency monitor (histogram quantiles,
+    /// miss/violation counters); `None` when no contract is attached.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn latency_snapshot(
+        &self,
+        component: ComponentRef,
+    ) -> Result<Option<LatencySnapshot>, FrameworkError> {
+        let (system, slot) = self.engine(component)?;
+        Ok(system.latency_snapshot_at(slot))
+    }
+
+    /// Deadline misses observed across every monitored component of every
+    /// shard.
+    pub fn deadline_misses(&self) -> u64 {
+        self.shards.iter().map(|s| s.system.deadline_misses()).sum()
+    }
+
+    /// Checks every attached contract on every shard and folds the
+    /// verdicts into one report (SOL-016…SOL-019 violations; a compliant
+    /// report means every contract holds).
+    pub fn contract_report(&self) -> ValidationReport {
+        let mut report = ValidationReport::default();
+        for s in &self.shards {
+            report.merge(s.system.contract_report());
+        }
+        report
+    }
+
+    /// Declares a component's [`FaultPolicy`], returning the previous one.
+    /// Allowed in **every** mode, ULTRA-MERGE included — supervision is
+    /// engine-level recovery machinery like timing contracts, not
+    /// structural reconfiguration. Under `Isolate` or `Restart`, a fault
+    /// in this component quarantines it on its own shard while every
+    /// sibling shard keeps ticking.
+    ///
+    /// # Errors
+    ///
+    /// Foreign refs; a poisoned deployment.
+    pub fn set_fault_policy(
+        &mut self,
+        component: ComponentRef,
+        policy: FaultPolicy,
+    ) -> Result<FaultPolicy, FrameworkError> {
+        let (system, slot) = self.engine_mut(component)?;
+        system.set_fault_policy_at(slot, policy)
+    }
+
+    /// The fault policy declared for a component
+    /// ([`FaultPolicy::Escalate`] by default).
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn fault_policy(&self, component: ComponentRef) -> Result<FaultPolicy, FrameworkError> {
+        let (system, slot) = self.engine(component)?;
+        Ok(system.fault_policy_at(slot))
+    }
+
+    /// True while a component is quarantined by its fault policy.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn quarantined(&self, component: ComponentRef) -> Result<bool, FrameworkError> {
+        let (system, slot) = self.engine(component)?;
+        Ok(system.quarantined_at(slot))
+    }
+
+    /// Restarts a quarantined component **now** with a fresh content
+    /// instance, on its own shard (the supervised-restart path without
+    /// waiting for a backoff timer). Idempotent on healthy components.
+    ///
+    /// # Errors
+    ///
+    /// Foreign refs; a poisoned deployment; content `on_start` failures.
+    pub fn restart_component(&mut self, component: ComponentRef) -> Result<(), FrameworkError> {
+        let (system, slot) = self.engine_mut(component)?;
+        system.restart_slot(slot)
+    }
+
+    /// Installs an engine-level deterministic [`FaultInjector`] at a
+    /// component's activation boundary (any mode; replaces any previous
+    /// injector). With `rate == 0` the injector is idle and the boundary
+    /// pays one integer compare — the shape the zero-alloc gate deploys.
+    ///
+    /// # Errors
+    ///
+    /// Foreign refs; a poisoned deployment.
+    pub fn install_fault_injector(
+        &mut self,
+        component: ComponentRef,
+        injector: FaultInjector,
+    ) -> Result<(), FrameworkError> {
+        let (system, slot) = self.engine_mut(component)?;
+        system.install_fault_injector_at(slot, injector).map(drop)
+    }
+
+    /// Removes a component's engine-level fault injector; `true` when one
+    /// was installed.
+    ///
+    /// # Errors
+    ///
+    /// Foreign refs; a poisoned deployment.
+    pub fn remove_fault_injector(
+        &mut self,
+        component: ComponentRef,
+    ) -> Result<bool, FrameworkError> {
+        let (system, slot) = self.engine_mut(component)?;
+        Ok(system.remove_fault_injector_at(slot).is_some())
+    }
+
+    /// `(activations seen, faults injected)` of a component's engine-level
+    /// injector; `None` when none is installed.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn injector_counts(
+        &self,
+        component: ComponentRef,
+    ) -> Result<Option<(u64, u64)>, FrameworkError> {
+        let (system, slot) = self.engine(component)?;
+        Ok(system.injector_counts_at(slot))
+    }
+
+    /// Supervision counters of a component:
+    /// `(faults contained, supervised restarts, suppressed releases)`.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn supervision_counts(
+        &self,
+        component: ComponentRef,
+    ) -> Result<(u64, u64, u64), FrameworkError> {
+        let (system, slot) = self.engine(component)?;
+        Ok(system.supervision_counts_at(slot))
     }
 
     /// Shard, slot and supervisor slot of the supervision edge from global
@@ -773,276 +1191,102 @@ impl<P: Payload> ParallelSystem<P> {
         Ok((shard, slot, Some(sup_slot)))
     }
 
-    /// Schedules an extra release of periodic `component` at absolute
-    /// engine time `at`, on the timer queue of whichever shard it was
-    /// planned into; each shard's worker fires its own due timers inside
-    /// its tick loop (see [`System::schedule_release`]).
+    /// Declares (or clears, with `None`) a component's supervisor,
+    /// returning the previous edge. Supervisors form a tree: when a fault
+    /// escalates out of a component whose policy is
+    /// [`FaultPolicy::Escalate`], the engine walks up this tree and the
+    /// first supervisor with a containing policy applies it to the
+    /// **failed subtree** — isolating it with counted drops or restarting
+    /// it as a unit through the timer queue — while the supervisor itself
+    /// and its other branches keep running. Cycle and validity checks run
+    /// eagerly here and again at every transactional commit. Allowed in
+    /// every mode, ULTRA-MERGE included.
+    ///
+    /// Supervision trees are **shard-local**: each shard's engine walks
+    /// its own tree with no cross-thread coordination, so an edge between
+    /// components planned onto different shards is refused — declare the
+    /// tree so related components share a shard (synchronous
+    /// neighbourhoods already do), or supervise shard-locally.
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown components,
-    /// [`FrameworkError::Timer`] for non-periodic ones or a full queue.
-    pub fn schedule_release(
-        &mut self,
-        component: &str,
-        at: AbsoluteTime,
-    ) -> Result<TimerHandle, FrameworkError> {
-        self.check_poisoned()?;
-        let (shard, slot) = self.locate(component)?;
-        self.shards[shard].system.schedule_release(slot, at)
-    }
-
-    /// Cancels a release scheduled on `component`'s shard; `false` for
-    /// stale handles. The component names the shard — handles are only
-    /// meaningful against the queue that issued them.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn cancel_release(
-        &mut self,
-        component: &str,
-        handle: TimerHandle,
-    ) -> Result<bool, FrameworkError> {
-        self.check_poisoned()?;
-        let (shard, _) = self.locate(component)?;
-        Ok(self.shards[shard].system.cancel_release(handle))
-    }
-
-    /// Currently armed timers, summed across shards.
-    pub fn armed_timers(&self) -> usize {
-        self.shards.iter().map(|s| s.system.armed_timers()).sum()
-    }
-
-    /// Attaches a declarative timing contract to a component, wherever it
-    /// was sharded (see [`System`]'s contract machinery); every later
-    /// activation on that shard's thread is stamped into its
-    /// allocation-free histogram.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn attach_contract(
-        &mut self,
-        component: &str,
-        contract: TimingContract,
-    ) -> Result<(), FrameworkError> {
-        self.check_poisoned()?;
-        let (shard, slot) = self.locate(component)?;
-        self.shards[shard]
-            .system
-            .attach_contract_at(slot, contract)
-            .map(|_| ())
-    }
-
-    /// A component's latency-monitor snapshot; `None` when no contract is
-    /// attached.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn latency_snapshot(
-        &self,
-        component: &str,
-    ) -> Result<Option<LatencySnapshot>, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        Ok(self.shards[shard].system.latency_snapshot_at(slot))
-    }
-
-    /// Deadline misses observed across every monitored component of every
-    /// shard.
-    pub fn deadline_misses(&self) -> u64 {
-        self.shards.iter().map(|s| s.system.deadline_misses()).sum()
-    }
-
-    /// Checks every attached contract on every shard and folds the
-    /// verdicts into one report (SOL-016…SOL-019).
-    pub fn contract_report(&self) -> ValidationReport {
-        let mut report = ValidationReport::default();
-        for s in &self.shards {
-            report.merge(s.system.contract_report());
-        }
-        report
-    }
-
-    // -----------------------------------------------------------------
-    // Fault containment & supervision (per-shard engines)
-    // -----------------------------------------------------------------
-
-    /// Sets a component's [`FaultPolicy`] on whichever shard owns it;
-    /// returns the previous policy. Under `Isolate` or `Restart`, a fault
-    /// in this component quarantines it on its own shard while every
-    /// sibling shard keeps ticking.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn set_fault_policy(
-        &mut self,
-        component: &str,
-        policy: FaultPolicy,
-    ) -> Result<FaultPolicy, FrameworkError> {
-        self.check_poisoned()?;
-        let (shard, slot) = self.locate(component)?;
-        self.shards[shard].system.set_fault_policy_at(slot, policy)
-    }
-
-    /// A component's current [`FaultPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn fault_policy(&self, component: &str) -> Result<FaultPolicy, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        Ok(self.shards[shard].system.fault_policy_at(slot))
-    }
-
-    /// True while a component is quarantined by its fault policy.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn quarantined(&self, component: &str) -> Result<bool, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        Ok(self.shards[shard].system.quarantined_at(slot))
-    }
-
-    /// Restarts a quarantined component now with a fresh content instance,
-    /// on its own shard. Idempotent on healthy components.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components, content
-    /// `on_start` failures.
-    pub fn restart_component(&mut self, component: &str) -> Result<(), FrameworkError> {
-        self.check_poisoned()?;
-        let (shard, slot) = self.locate(component)?;
-        self.shards[shard].system.restart_slot(slot)
-    }
-
-    /// Installs a deterministic [`FaultInjector`] at a component's
-    /// activation boundary on whichever shard owns it (replaces any
-    /// previous injector).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn install_fault_injector(
-        &mut self,
-        component: &str,
-        injector: FaultInjector,
-    ) -> Result<(), FrameworkError> {
-        self.check_poisoned()?;
-        let (shard, slot) = self.locate(component)?;
-        self.shards[shard]
-            .system
-            .install_fault_injector_at(slot, injector)?;
-        Ok(())
-    }
-
-    /// `(activations seen, faults injected)` of a component's injector;
-    /// `None` when no injector is installed.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn injector_counts(&self, component: &str) -> Result<Option<(u64, u64)>, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        Ok(self.shards[shard].system.injector_counts_at(slot))
-    }
-
-    /// Supervision counters of a component:
-    /// `(faults contained, supervised restarts, suppressed releases)`.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn supervision_counts(&self, component: &str) -> Result<(u64, u64, u64), FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        Ok(self.shards[shard].system.supervision_counts_at(slot))
-    }
-
-    /// Declares (or clears) a component's supervisor on its own shard,
-    /// returning the previous edge's component name. Supervision trees
-    /// are **shard-local**: each shard's engine walks its own tree with no
-    /// cross-thread coordination, so a supervisor edge between components
-    /// planned onto different shards is refused — declare the tree so
-    /// related components share a shard (synchronous neighbourhoods
-    /// already do), or supervise shard-locally.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown components, cycles, or
+    /// [`FrameworkError::Content`] for foreign refs, cycles, or
     /// self-supervision; [`FrameworkError::Unsupported`] for a cross-shard
-    /// edge.
+    /// edge; a poisoned deployment.
     pub fn set_supervisor(
         &mut self,
-        component: &str,
-        supervisor: Option<&str>,
-    ) -> Result<Option<String>, FrameworkError> {
+        component: ComponentRef,
+        supervisor: Option<ComponentRef>,
+    ) -> Result<Option<ComponentRef>, FrameworkError> {
+        let g = self.g_of(component)?;
+        let sup = supervisor.map(|s| self.g_of(s)).transpose()?;
         self.check_poisoned()?;
-        let g = self.gix(component)?;
-        let sup = supervisor.map(|name| self.gix(name)).transpose()?;
         let (shard, slot, sup_slot) = self.supervision_edge(g, sup)?;
         let prev = self.shards[shard]
             .system
             .set_supervisor_at(slot, sup_slot)?;
-        Ok(prev.map(|s| self.shards[shard].system.node_name(s).to_string()))
+        Ok(prev.and_then(|s| self.token_at(shard, s)))
     }
 
-    /// A component's declared supervisor's name, if any.
+    /// A component's declared supervisor, if any.
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn supervisor_of(&self, component: &str) -> Result<Option<String>, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        Ok(self.shards[shard]
-            .system
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn supervisor_of(
+        &self,
+        component: ComponentRef,
+    ) -> Result<Option<ComponentRef>, FrameworkError> {
+        let (system, slot) = self.engine(component)?;
+        let shard = component.shard as usize;
+        Ok(system
             .supervisor_of_at(slot)
-            .map(|s| self.shards[shard].system.node_name(s).to_string()))
+            .and_then(|s| self.token_at(shard, s)))
     }
 
-    /// The rendered escalation path of the last fault this component
-    /// contained as a supervisor on its shard (`None` until an escalation
-    /// walked through it).
+    /// The rendered escalation path (`origin -> … -> supervisor`) of the
+    /// last fault this component contained as a supervisor; `None` until
+    /// an escalation walked through it. The same path is published as a
+    /// SOL-023 verdict in [`health_report`](Self::health_report).
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn escalation_path(&self, component: &str) -> Result<Option<String>, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        Ok(self.shards[shard].system.escalation_path_at(slot))
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn escalation_path(
+        &self,
+        component: ComponentRef,
+    ) -> Result<Option<String>, FrameworkError> {
+        let (system, slot) = self.engine(component)?;
+        Ok(system.escalation_path_at(slot))
     }
 
-    /// Opts a component into the warm-state Checkpoint capability on its
-    /// own shard (see `Deployment::enable_checkpoint` for the contract).
-    /// The two preallocated images are charged against the component's
-    /// allocation area immediately; a refused charge tears the capability
-    /// back out.
+    /// Opts a component into the warm-state **Checkpoint capability**: its
+    /// content must implement
+    /// [`Content::checkpoint`](soleil_membrane::content::Content::checkpoint),
+    /// and the engine preallocates two bounded state images (healthy +
+    /// boundary scratch) sized by the content's `state_bytes()` bound.
+    /// Both images are charged against the component's allocation area
+    /// **immediately** — monotonic substrate accounting, like build — and
+    /// a refused charge tears the capability back out, leaving the
+    /// deployment unchanged.
+    ///
+    /// After enabling, the engine captures the live state every `cadence`
+    /// successful activations and at every supervised-restart boundary;
+    /// the fresh instance installed by a supervised restart then restores
+    /// the boundary image (or, after a poisoning panic, the last healthy
+    /// cadence image) before its first release.
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown components, a zero cadence,
-    /// or content without the capability; substrate budget exhaustion.
+    /// [`FrameworkError::Content`] for foreign refs, a zero cadence, or
+    /// content without the capability; substrate budget exhaustion when
+    /// the area cannot hold the images; a poisoned deployment.
     pub fn enable_checkpoint(
         &mut self,
-        component: &str,
+        component: ComponentRef,
         cadence: u32,
     ) -> Result<(), FrameworkError> {
-        self.check_poisoned()?;
-        let (shard, slot) = self.locate(component)?;
-        self.enable_checkpoint_at(shard, slot, cadence)
-    }
-
-    /// [`enable_checkpoint`](Self::enable_checkpoint) on a located slot.
-    pub(crate) fn enable_checkpoint_at(
-        &mut self,
-        shard: usize,
-        slot: usize,
-        cadence: u32,
-    ) -> Result<(), FrameworkError> {
-        let system = &mut self.shards[shard].system;
+        let (system, slot) = self.engine_mut(component)?;
         let bytes = system.enable_checkpoint_at(slot, cadence)?;
         let area_ix = system.area_ix_at(slot);
         if let Err(e) = system.charge_area(area_ix, bytes) {
@@ -1052,19 +1296,35 @@ impl<P: Payload> ParallelSystem<P> {
         Ok(())
     }
 
+    /// True when the Checkpoint capability is enabled for a component.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn checkpoint_enabled(&self, component: ComponentRef) -> Result<bool, FrameworkError> {
+        let (system, slot) = self.engine(component)?;
+        Ok(system.checkpoint_enabled_at(slot))
+    }
+
     /// `(captures, restores)` of a component's checkpoint storage; `None`
     /// when the capability is not enabled.
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn checkpoint_counts(&self, component: &str) -> Result<Option<(u64, u64)>, FrameworkError> {
-        let (shard, slot) = self.locate(component)?;
-        Ok(self.shards[shard].system.checkpoint_counts_at(slot))
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn checkpoint_counts(
+        &self,
+        component: ComponentRef,
+    ) -> Result<Option<(u64, u64)>, FrameworkError> {
+        let (system, slot) = self.engine(component)?;
+        Ok(system.checkpoint_counts_at(slot))
     }
 
     /// The full runtime health report folded across every shard: contract
-    /// verdicts (SOL-016…019) plus supervision findings (SOL-020…023).
+    /// verdicts (SOL-016…019) plus supervision findings — SOL-020 per
+    /// quarantined component, SOL-021 per exhausted restart budget,
+    /// SOL-022 when messages were counted-dropped at quarantine gates,
+    /// SOL-023 naming the supervision path of each contained escalation.
     pub fn health_report(&self) -> ValidationReport {
         let mut report = ValidationReport::default();
         for s in &self.shards {
@@ -1264,7 +1524,7 @@ impl<P: Payload> ParallelSystem<P> {
     /// drained, zero messages in flight — the parallel analogue of the
     /// run-to-completion guarantee single-engine reconfiguration gets for
     /// free), then the closure applies operations through the
-    /// [`ParallelReconfiguration`] handle, journaled per shard. On `Ok`
+    /// [`Reconfiguration`] handle, journaled per shard. On `Ok`
     /// the resulting deployment is re-validated — partition invariants
     /// *and*, for architecture-carrying deployments (see
     /// [`ParallelSystem::build_with_arch`]), the full RTSJ rule set — and
@@ -1288,9 +1548,9 @@ impl<P: Payload> ParallelSystem<P> {
     ///   the resulting architecture violates RTSJ, after rollback.
     pub fn reconfigure<T>(
         &mut self,
-        f: impl FnOnce(&mut ParallelReconfiguration<'_, P>) -> Result<T, FrameworkError>,
+        f: impl FnOnce(&mut Reconfiguration<'_, P>) -> Result<T, FrameworkError>,
     ) -> Result<T, FrameworkError> {
-        let mut txn = ParallelReconfiguration::begin(self)?;
+        let mut txn = Reconfiguration::begin(self)?;
         let outcome = f(&mut txn);
         txn.finish(outcome)
     }
@@ -1403,7 +1663,7 @@ enum Undo<P> {
 }
 
 /// Puts an architectural binding mirrored by
-/// [`ParallelReconfiguration::arch_rebind`] back (op-level failure
+/// [`Reconfiguration::arch_rebind`] back (op-level failure
 /// recovery and rollback).
 fn arch_unrebind(arch: &mut Architecture, port: &str, record: &BindingRecord) {
     let (client_id, old_server_id, old_server_if, protocol) = record;
@@ -1429,24 +1689,25 @@ fn restore_domain_edge(arch: &mut Architecture, (comp, old, new): DomainEdge) {
 }
 
 /// The in-flight transaction handle passed to
-/// [`ParallelSystem::reconfigure`]'s closure. Operations are
-/// name-addressed (the partition owns placement — callers never see shard
-/// indices), apply eagerly, and journal their inverses; the whole set
-/// reverts together on failure. A serial [`crate::Reconfiguration`] wraps
-/// the same handle and reaches the same operation bodies by global
-/// component index.
-pub struct ParallelReconfiguration<'s, P: Payload> {
+/// [`ParallelSystem::reconfigure`]'s closure — the one transaction type,
+/// for serial and sharded deployments alike. Operations take
+/// [`ComponentRef`]s (the partition owns placement — callers never see
+/// shard indices) and refuse a token minted by another deployment with
+/// [`FrameworkError::Content`]. They apply eagerly (later operations
+/// observe earlier ones) and journal their inverses; the whole set reverts
+/// together on failure.
+pub struct Reconfiguration<'s, P: Payload> {
     sys: &'s mut ParallelSystem<P>,
     journal: Vec<Undo<P>>,
     pending_charges: Vec<PendingCharge>,
 }
 
-impl<'s, P: Payload> ParallelReconfiguration<'s, P> {
+impl<'s, P: Payload> Reconfiguration<'s, P> {
     /// Opens a transaction: refuses static and poisoned deployments, then
     /// drives the partition to a quiescence epoch (a one-shard plan is
     /// always quiescent between calls, so it stays on the caller's
     /// thread).
-    pub(crate) fn begin(sys: &'s mut ParallelSystem<P>) -> Result<Self, FrameworkError> {
+    fn begin(sys: &'s mut ParallelSystem<P>) -> Result<Self, FrameworkError> {
         if sys.mode == Mode::UltraMerge {
             return Err(FrameworkError::Unsupported(
                 "ULTRA-MERGE systems are purely static".into(),
@@ -1454,7 +1715,7 @@ impl<'s, P: Payload> ParallelReconfiguration<'s, P> {
         }
         sys.check_poisoned()?;
         sys.quiesce()?;
-        Ok(ParallelReconfiguration {
+        Ok(Reconfiguration {
             sys,
             journal: Vec::new(),
             pending_charges: Vec::new(),
@@ -1466,10 +1727,7 @@ impl<'s, P: Payload> ParallelReconfiguration<'s, P> {
     /// passes and every deferred substrate charge succeeds (charges
     /// already made stand: immortal/scoped accounting is monotonic,
     /// exactly like build). Any error rolls the whole journal back.
-    pub(crate) fn finish<T>(
-        mut self,
-        outcome: Result<T, FrameworkError>,
-    ) -> Result<T, FrameworkError> {
+    fn finish<T>(mut self, outcome: Result<T, FrameworkError>) -> Result<T, FrameworkError> {
         let committed = outcome.and_then(|value| {
             self.validate_commit()?;
             for charge in std::mem::take(&mut self.pending_charges) {
@@ -1539,14 +1797,9 @@ impl<'s, P: Payload> ParallelReconfiguration<'s, P> {
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn stop(&mut self, component: &str) -> Result<(), FrameworkError> {
-        self.stop_at(self.sys.gix(component)?)
-    }
-
-    /// [`stop`](Self::stop) by global component index.
-    pub(crate) fn stop_at(&mut self, g: usize) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.comp_slot[g];
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn stop(&mut self, component: ComponentRef) -> Result<(), FrameworkError> {
+        let (shard, slot) = self.sys.locate(component)?;
         let system = &mut self.sys.shards[shard].system;
         if system.node_started(slot) {
             system.stop_at(slot)?;
@@ -1559,14 +1812,9 @@ impl<'s, P: Payload> ParallelReconfiguration<'s, P> {
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn start(&mut self, component: &str) -> Result<(), FrameworkError> {
-        self.start_at(self.sys.gix(component)?)
-    }
-
-    /// [`start`](Self::start) by global component index.
-    pub(crate) fn start_at(&mut self, g: usize) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.comp_slot[g];
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn start(&mut self, component: ComponentRef) -> Result<(), FrameworkError> {
+        let (shard, slot) = self.sys.locate(component)?;
         let system = &mut self.sys.shards[shard].system;
         if !system.node_started(slot) {
             system.start_at(slot)?;
@@ -1590,23 +1838,16 @@ impl<'s, P: Payload> ParallelReconfiguration<'s, P> {
     ///
     /// [`FrameworkError::Unsupported`] for a cross-shard target,
     /// [`FrameworkError::Binding`] for unbound/asynchronous ports, missing
-    /// interfaces or signature mismatches.
+    /// interfaces or signature mismatches, [`FrameworkError::Content`] for
+    /// foreign refs.
     pub fn rebind(
         &mut self,
-        client: &str,
+        client: ComponentRef,
         port: &str,
-        new_server: &str,
+        new_server: ComponentRef,
     ) -> Result<(), FrameworkError> {
-        self.rebind_at(self.sys.gix(client)?, port, self.sys.gix(new_server)?)
-    }
-
-    /// [`rebind`](Self::rebind) by global component indices.
-    pub(crate) fn rebind_at(
-        &mut self,
-        client: usize,
-        port: &str,
-        new_server: usize,
-    ) -> Result<(), FrameworkError> {
+        let client = self.sys.g_of(client)?;
+        let new_server = self.sys.g_of(new_server)?;
         let (cs, client_slot) = self.sys.comp_slot[client];
         let (ss, server_slot) = self.sys.comp_slot[new_server];
         if cs != ss {
@@ -1683,15 +1924,16 @@ impl<'s, P: Payload> ParallelReconfiguration<'s, P> {
     /// # Errors
     ///
     /// [`FrameworkError::Binding`] for unbound or synchronous ports or a
-    /// missing server interface.
+    /// missing server interface, [`FrameworkError::Content`] for foreign
+    /// refs.
     pub fn rebind_async(
         &mut self,
-        client: &str,
+        client: ComponentRef,
         port: &str,
-        new_server: &str,
+        new_server: ComponentRef,
     ) -> Result<(), FrameworkError> {
-        let gclient = self.sys.gix(client)?;
-        let gserver = self.sys.gix(new_server)?;
+        let gclient = self.sys.g_of(client)?;
+        let gserver = self.sys.g_of(new_server)?;
         let found = self
             .sys
             .spec
@@ -1708,7 +1950,8 @@ impl<'s, P: Payload> ParallelReconfiguration<'s, P> {
             });
         let Some((gbix, capacity)) = found else {
             return Err(FrameworkError::Binding(format!(
-                "no asynchronous binding on client port '{port}' of '{client}'"
+                "no asynchronous binding on client port '{port}' of '{}'",
+                self.sys.spec.components[gclient].name
             )));
         };
         let old_server_g = self.sys.spec.bindings[gbix].server;
@@ -1832,21 +2075,16 @@ impl<'s, P: Payload> ParallelReconfiguration<'s, P> {
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown domains,
+    /// [`FrameworkError::Content`] for unknown domains or foreign refs,
     /// [`FrameworkError::Binding`] for indirect domain membership,
     /// [`FrameworkError::Unsupported`] for cross-shard moves or a move
     /// that would leave the component outside every memory area.
-    pub fn reassign_domain(&mut self, component: &str, domain: &str) -> Result<(), FrameworkError> {
-        self.reassign_domain_at(self.sys.gix(component)?, domain)
-    }
-
-    /// [`reassign_domain`](Self::reassign_domain) by global component
-    /// index.
-    pub(crate) fn reassign_domain_at(
+    pub fn reassign_domain(
         &mut self,
-        g: usize,
+        component: ComponentRef,
         domain: &str,
     ) -> Result<(), FrameworkError> {
+        let g = self.sys.g_of(component)?;
         let sys = &mut *self.sys;
         let (shard, slot) = sys.comp_slot[g];
         let component = sys.spec.components[g].name.as_str();
@@ -1989,15 +2227,12 @@ impl<'s, P: Payload> ParallelReconfiguration<'s, P> {
     /// # Errors
     ///
     /// [`FrameworkError::Unsupported`] in the merged modes,
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn install_jitter_monitor(&mut self, component: &str) -> Result<(), FrameworkError> {
-        self.install_jitter_monitor_at(self.sys.gix(component)?)
-    }
-
-    /// [`install_jitter_monitor`](Self::install_jitter_monitor) by global
-    /// component index.
-    pub(crate) fn install_jitter_monitor_at(&mut self, g: usize) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.comp_slot[g];
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn install_jitter_monitor(
+        &mut self,
+        component: ComponentRef,
+    ) -> Result<(), FrameworkError> {
+        let (shard, slot) = self.sys.locate(component)?;
         if self.sys.shards[shard].system.enable_jitter_at(slot)? {
             self.journal.push(Undo::RemoveInterceptor {
                 shard,
@@ -2016,15 +2251,12 @@ impl<'s, P: Payload> ParallelReconfiguration<'s, P> {
     /// # Errors
     ///
     /// [`FrameworkError::Unsupported`] in the merged modes,
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn remove_jitter_monitor(&mut self, component: &str) -> Result<bool, FrameworkError> {
-        self.remove_jitter_monitor_at(self.sys.gix(component)?)
-    }
-
-    /// [`remove_jitter_monitor`](Self::remove_jitter_monitor) by global
-    /// component index.
-    pub(crate) fn remove_jitter_monitor_at(&mut self, g: usize) -> Result<bool, FrameworkError> {
-        let (shard, slot) = self.sys.comp_slot[g];
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn remove_jitter_monitor(
+        &mut self,
+        component: ComponentRef,
+    ) -> Result<bool, FrameworkError> {
+        let (shard, slot) = self.sys.locate(component)?;
         let Some((index, step)) = self.sys.shards[shard]
             .system
             .take_interceptor_at(slot, "jitter-monitor")?
@@ -2048,23 +2280,13 @@ impl<'s, P: Payload> ParallelReconfiguration<'s, P> {
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown components.
+    /// [`FrameworkError::Content`] for foreign refs.
     pub fn attach_contract(
         &mut self,
-        component: &str,
+        component: ComponentRef,
         contract: TimingContract,
     ) -> Result<(), FrameworkError> {
-        self.attach_contract_at(self.sys.gix(component)?, contract)
-    }
-
-    /// [`attach_contract`](Self::attach_contract) by global component
-    /// index.
-    pub(crate) fn attach_contract_at(
-        &mut self,
-        g: usize,
-        contract: TimingContract,
-    ) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.comp_slot[g];
+        let (shard, slot) = self.sys.locate(component)?;
         let previous = self.sys.shards[shard]
             .system
             .attach_contract_at(slot, contract)?;
@@ -2082,15 +2304,9 @@ impl<'s, P: Payload> ParallelReconfiguration<'s, P> {
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown components.
-    pub fn detach_contract(&mut self, component: &str) -> Result<bool, FrameworkError> {
-        self.detach_contract_at(self.sys.gix(component)?)
-    }
-
-    /// [`detach_contract`](Self::detach_contract) by global component
-    /// index.
-    pub(crate) fn detach_contract_at(&mut self, g: usize) -> Result<bool, FrameworkError> {
-        let (shard, slot) = self.sys.comp_slot[g];
+    /// [`FrameworkError::Content`] for foreign refs.
+    pub fn detach_contract(&mut self, component: ComponentRef) -> Result<bool, FrameworkError> {
+        let (shard, slot) = self.sys.locate(component)?;
         let Some(previous) = self.sys.shards[shard].system.detach_contract_at(slot) else {
             return Ok(false);
         };
@@ -2110,23 +2326,13 @@ impl<'s, P: Payload> ParallelReconfiguration<'s, P> {
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown components.
+    /// [`FrameworkError::Content`] for foreign refs.
     pub fn set_fault_policy(
         &mut self,
-        component: &str,
+        component: ComponentRef,
         policy: FaultPolicy,
     ) -> Result<(), FrameworkError> {
-        self.set_fault_policy_at(self.sys.gix(component)?, policy)
-    }
-
-    /// [`set_fault_policy`](Self::set_fault_policy) by global component
-    /// index.
-    pub(crate) fn set_fault_policy_at(
-        &mut self,
-        g: usize,
-        policy: FaultPolicy,
-    ) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.comp_slot[g];
+        let (shard, slot) = self.sys.locate(component)?;
         let previous = self.sys.shards[shard]
             .system
             .set_fault_policy_at(slot, policy)?;
@@ -2147,27 +2353,17 @@ impl<'s, P: Payload> ParallelReconfiguration<'s, P> {
     ///
     /// # Errors
     ///
-    /// [`FrameworkError::Content`] for unknown components, cycles, or
+    /// [`FrameworkError::Content`] for foreign refs, cycles, or
     /// self-supervision; [`FrameworkError::Unsupported`] for a cross-shard
     /// edge.
     pub fn set_supervisor(
         &mut self,
-        component: &str,
-        supervisor: Option<&str>,
+        component: ComponentRef,
+        supervisor: Option<ComponentRef>,
     ) -> Result<(), FrameworkError> {
-        let g = self.sys.gix(component)?;
-        let sup = supervisor.map(|name| self.sys.gix(name)).transpose()?;
-        self.set_supervisor_at(g, sup)
-    }
-
-    /// [`set_supervisor`](Self::set_supervisor) by global component
-    /// indices.
-    pub(crate) fn set_supervisor_at(
-        &mut self,
-        g: usize,
-        supervisor: Option<usize>,
-    ) -> Result<(), FrameworkError> {
-        let (shard, slot, sup_slot) = self.sys.supervision_edge(g, supervisor)?;
+        let g = self.sys.g_of(component)?;
+        let sup = supervisor.map(|s| self.sys.g_of(s)).transpose()?;
+        let (shard, slot, sup_slot) = self.sys.supervision_edge(g, sup)?;
         let previous = self.sys.shards[shard]
             .system
             .set_supervisor_at(slot, sup_slot)?;
@@ -2893,18 +3089,24 @@ mod tests {
         }
     }
 
+    /// Tokens of `fan_spec`'s producer, consumerB and consumerC.
+    fn refs(sys: &ParallelSystem<u64>) -> [ComponentRef; 3] {
+        ["producer", "consumerB", "consumerC"].map(|n| sys.resolve(n).unwrap())
+    }
+
     #[test]
     fn independent_domains_get_independent_shards() {
         let probe = ThreadProbe::default();
         let sys = ParallelSystem::build(&fan_spec(), Mode::MergeAll, &registry(&probe)).unwrap();
+        let [producer, consumer_b, consumer_c] = refs(&sys);
         assert_eq!(sys.shard_count(), 3);
         let a = sys.shard_of_domain("A").unwrap();
         let b = sys.shard_of_domain("B").unwrap();
         let c = sys.shard_of_domain("C").unwrap();
         assert!(a != b && b != c && a != c);
-        assert_eq!(sys.shard_of_component("producer"), Some(a));
-        assert_eq!(sys.shard_of_component("consumerB"), Some(b));
-        assert_eq!(sys.shard_of_component("consumerC"), Some(c));
+        assert_eq!(sys.shard_of_component(producer), Some(a));
+        assert_eq!(sys.shard_of_component(consumer_b), Some(b));
+        assert_eq!(sys.shard_of_component(consumer_c), Some(c));
     }
 
     #[test]
@@ -3082,7 +3284,8 @@ mod tests {
         let mut spec = fan_spec();
         spec.components[1].content_class = "Boom".into();
         let mut sys = ParallelSystem::build(&spec, Mode::MergeAll, &reg).unwrap();
-        let b = sys.shard_of_component("consumerB").unwrap();
+        let [_, consumer_b, _] = refs(&sys);
+        let b = sys.shard_of_component(consumer_b).unwrap();
         let err = sys.run_ticks(10).unwrap_err();
         assert_eq!(
             err.to_string(),
@@ -3102,8 +3305,9 @@ mod tests {
         let probe = ThreadProbe::default();
         let mut sys =
             ParallelSystem::build(&fan_spec(), Mode::MergeAll, &registry(&probe)).unwrap();
+        let [producer, consumer_b, _] = refs(&sys);
         sys.run_ticks(2).unwrap();
-        let handle = sys.schedule_release("producer", AbsoluteTime::MAX).unwrap();
+        let handle = sys.schedule_release(producer, AbsoluteTime::MAX).unwrap();
         let err = sys
             .run_ticks_instrumented(0, 3, &|| -> u64 { panic!("probe exploded") })
             .unwrap_err();
@@ -3122,18 +3326,20 @@ mod tests {
         for refused in [
             sys.run_ticks(1).unwrap_err(),
             sys.reconfigure(|_txn| Ok(())).unwrap_err(),
-            sys.schedule_release("producer", AbsoluteTime::MAX)
+            sys.schedule_release(producer, AbsoluteTime::MAX)
                 .unwrap_err(),
-            sys.cancel_release("producer", handle).unwrap_err(),
-            sys.attach_contract("consumerB", TimingContract::new())
+            sys.cancel_release(producer, handle).unwrap_err(),
+            sys.attach_contract(consumer_b, TimingContract::new())
                 .unwrap_err(),
-            sys.set_fault_policy("consumerB", FaultPolicy::Isolate)
+            sys.set_fault_policy(consumer_b, FaultPolicy::Isolate)
                 .unwrap_err(),
-            sys.restart_component("consumerB").unwrap_err(),
-            sys.install_fault_injector("consumerB", FaultInjector::new("consumerB", 7, 0))
+            sys.restart_component(consumer_b).unwrap_err(),
+            sys.install_fault_injector(consumer_b, FaultInjector::new("consumerB", 7, 0))
                 .unwrap_err(),
-            sys.set_supervisor("consumerB", None).unwrap_err(),
-            sys.enable_checkpoint("consumerB", 1).unwrap_err(),
+            sys.set_supervisor(consumer_b, None).unwrap_err(),
+            sys.enable_checkpoint(consumer_b, 1).unwrap_err(),
+            sys.detach_contract(consumer_b).unwrap_err(),
+            sys.remove_fault_injector(consumer_b).unwrap_err(),
         ] {
             let FrameworkError::RunToCompletion(m) = &refused else {
                 panic!("expected a run-to-completion refusal, got {refused:?}");
@@ -3153,18 +3359,19 @@ mod tests {
         let probe = ThreadProbe::default();
         let mut sys =
             ParallelSystem::build(&fan_spec(), Mode::MergeAll, &registry(&probe)).unwrap();
-        sys.set_fault_policy("consumerB", FaultPolicy::Isolate)
+        let [_, consumer_b, consumer_c] = refs(&sys);
+        sys.set_fault_policy(consumer_b, FaultPolicy::Isolate)
             .unwrap();
         sys.install_fault_injector(
-            "consumerB",
+            consumer_b,
             FaultInjector::new("consumerB", 7, 1).with_menu(FaultInjector::MENU_PANIC),
         )
         .unwrap();
 
         let runs = sys.run_ticks(25).unwrap();
         assert_eq!(runs.len(), 3, "all shards completed despite the panic");
-        assert!(sys.quarantined("consumerB").unwrap());
-        assert!(!sys.quarantined("consumerC").unwrap());
+        assert!(sys.quarantined(consumer_b).unwrap());
+        assert!(!sys.quarantined(consumer_c).unwrap());
         // The sibling consumer saw every message; B panicked on its first
         // activation (before dispatch reached the content) and the rest
         // were counted-dropped against the quarantine.
@@ -3175,7 +3382,7 @@ mod tests {
         assert_eq!(stats.faults_contained, 1);
         assert_eq!(stats.quarantine_drops, 24);
         assert_eq!(stats.delivered_messages + stats.dropped_messages, 50);
-        let (faults, restarts, _) = sys.supervision_counts("consumerB").unwrap();
+        let (faults, restarts, _) = sys.supervision_counts(consumer_b).unwrap();
         assert_eq!((faults, restarts), (1, 0));
 
         let report = sys.health_report();
@@ -3187,10 +3394,10 @@ mod tests {
 
         // Supervised recovery: an explicit restart clears the quarantine
         // and the component consumes again.
-        sys.install_fault_injector("consumerB", FaultInjector::new("consumerB", 7, 0))
+        sys.install_fault_injector(consumer_b, FaultInjector::new("consumerB", 7, 0))
             .unwrap();
-        sys.restart_component("consumerB").unwrap();
-        assert!(!sys.quarantined("consumerB").unwrap());
+        sys.restart_component(consumer_b).unwrap();
+        assert!(!sys.quarantined(consumer_b).unwrap());
         sys.run_ticks(5).unwrap();
         assert_eq!(probe.count("consumerB"), 5);
         assert!(sys.health_report().by_code("SOL-020").next().is_none());
@@ -3235,6 +3442,7 @@ mod tests {
         for mode in [Mode::Soleil, Mode::MergeAll] {
             let probe = ThreadProbe::default();
             let mut sys = ParallelSystem::build(&fan_spec(), mode, &registry(&probe)).unwrap();
+            let [producer, _, consumer_c] = refs(&sys);
             sys.run_ticks(10).unwrap();
             assert_eq!(probe.count("consumerB"), 10, "{mode}");
             assert_eq!(probe.count("consumerC"), 10, "{mode}");
@@ -3242,7 +3450,7 @@ mod tests {
             // Retarget producer.out1 from consumerB (shard B) onto
             // consumerC (shard C): the A→B ring retires, a fresh A→C ring
             // seats, and the compiled client slot repoints — live.
-            sys.reconfigure(|txn| txn.rebind_async("producer", "out1", "consumerC"))
+            sys.reconfigure(|txn| txn.rebind_async(producer, "out1", consumer_c))
                 .unwrap();
 
             sys.run_ticks(10).unwrap();
@@ -3268,15 +3476,16 @@ mod tests {
     fn refused_transaction_restores_the_partition_byte_identically() {
         let probe = ThreadProbe::default();
         let mut sys = ParallelSystem::build(&fan_spec(), Mode::Soleil, &registry(&probe)).unwrap();
+        let [producer, consumer_b, consumer_c] = refs(&sys);
         sys.run_ticks(10).unwrap();
         let digests = sys.structural_digests();
-        let policy = sys.fault_policy("consumerC").unwrap();
+        let policy = sys.fault_policy(consumer_c).unwrap();
 
         let err = sys
             .reconfigure(|txn| -> Result<(), FrameworkError> {
-                txn.rebind_async("producer", "out1", "consumerC")?;
-                txn.set_fault_policy("consumerC", FaultPolicy::Isolate)?;
-                txn.install_jitter_monitor("consumerB")?;
+                txn.rebind_async(producer, "out1", consumer_c)?;
+                txn.set_fault_policy(consumer_c, FaultPolicy::Isolate)?;
+                txn.install_jitter_monitor(consumer_b)?;
                 Err(FrameworkError::Content(
                     "operator changed their mind".into(),
                 ))
@@ -3292,7 +3501,7 @@ mod tests {
             digests,
             "rollback restores every shard engine byte-identically"
         );
-        assert_eq!(sys.fault_policy("consumerC").unwrap(), policy);
+        assert_eq!(sys.fault_policy(consumer_c).unwrap(), policy);
 
         // The restored topology still routes out1 to consumerB.
         sys.run_ticks(10).unwrap();
@@ -3308,9 +3517,10 @@ mod tests {
         spec.bindings[0].server_port = "in".into();
         let probe = ThreadProbe::default();
         let mut sys = ParallelSystem::build(&spec, Mode::MergeAll, &registry(&probe)).unwrap();
+        let [producer, _, consumer_c] = refs(&sys);
         let digests = sys.structural_digests();
         let err = sys
-            .reconfigure(|txn| txn.rebind("producer", "out1", "consumerC"))
+            .reconfigure(|txn| txn.rebind(producer, "out1", consumer_c))
             .unwrap_err();
         assert!(
             err.to_string()
@@ -3326,8 +3536,9 @@ mod tests {
         let probe = ThreadProbe::default();
         let mut sys =
             ParallelSystem::build(&fan_spec(), Mode::MergeAll, &registry(&probe)).unwrap();
+        let [_, consumer_b, _] = refs(&sys);
         let err = sys
-            .reconfigure(|txn| txn.reassign_domain("consumerB", "C"))
+            .reconfigure(|txn| txn.reassign_domain(consumer_b, "C"))
             .unwrap_err();
         assert!(
             err.to_string()
@@ -3344,6 +3555,7 @@ mod tests {
         let probe = ThreadProbe::default();
         let mut sys =
             ParallelSystem::build(&fan_spec(), Mode::MergeAll, &registry(&probe)).unwrap();
+        let [producer, consumer_b, consumer_c] = refs(&sys);
         sys.run_ticks(5).unwrap();
         assert!(sys.health_report().is_compliant());
 
@@ -3353,16 +3565,16 @@ mod tests {
         // a zero-budget restart policy for consumerC.
         sys.reconfigure(|txn| {
             txn.attach_contract(
-                "producer",
+                producer,
                 TimingContract::new()
                     .with_deadline(RelativeTime::from_nanos(0))
                     .with_min_throughput_hz(u32::MAX)
                     .with_max_jitter(RelativeTime::from_millis(500))
                     .with_quantile_bound(99, RelativeTime::from_millis(500)),
             )?;
-            txn.set_fault_policy("consumerB", FaultPolicy::Isolate)?;
+            txn.set_fault_policy(consumer_b, FaultPolicy::Isolate)?;
             txn.set_fault_policy(
-                "consumerC",
+                consumer_c,
                 FaultPolicy::Restart {
                     max_restarts: 0,
                     window: RelativeTime::from_millis(3_600_000),
@@ -3373,7 +3585,7 @@ mod tests {
         .unwrap();
 
         sys.install_fault_injector(
-            "consumerB",
+            consumer_b,
             FaultInjector::new("consumerB", 7, 1).with_menu(FaultInjector::MENU_PANIC),
         )
         .unwrap();
@@ -3406,7 +3618,7 @@ mod tests {
         // Exhaust consumerC's zero-restart budget: the fault escalates
         // out of its shard and SOL-021 joins the report.
         sys.install_fault_injector(
-            "consumerC",
+            consumer_c,
             FaultInjector::new("consumerC", 11, 1).with_menu(FaultInjector::MENU_ERROR),
         )
         .unwrap();
@@ -3510,6 +3722,7 @@ mod tests {
                 coupled_arch(),
             )
             .unwrap();
+            let [producer, consumer_b, consumer_c] = refs(&sys);
             assert_eq!(
                 sys.shard_count(),
                 2,
@@ -3518,11 +3731,11 @@ mod tests {
             sys.run_ticks(10).unwrap();
 
             sys.reconfigure(|txn| {
-                txn.rebind_async("producer", "out1", "consumerC")?;
-                txn.reassign_domain("consumerB", "C")?;
-                txn.set_fault_policy("consumerC", FaultPolicy::Isolate)?;
+                txn.rebind_async(producer, "out1", consumer_c)?;
+                txn.reassign_domain(consumer_b, "C")?;
+                txn.set_fault_policy(consumer_c, FaultPolicy::Isolate)?;
                 if mode == Mode::Soleil {
-                    txn.install_jitter_monitor("consumerB")?;
+                    txn.install_jitter_monitor(consumer_b)?;
                 }
                 Ok(())
             })
@@ -3532,7 +3745,7 @@ mod tests {
             assert_eq!(probe.count("consumerB"), 10, "{mode}");
             assert_eq!(probe.count("consumerC"), 30, "{mode}");
             assert_eq!(
-                sys.fault_policy("consumerC").unwrap(),
+                sys.fault_policy(consumer_c).unwrap(),
                 FaultPolicy::Isolate,
                 "{mode}"
             );
@@ -3566,14 +3779,15 @@ mod tests {
             coupled_arch(),
         )
         .unwrap();
+        let [producer, consumer_b, consumer_c] = refs(&sys);
         sys.run_ticks(10).unwrap();
         let digests = sys.structural_digests();
 
         let err = sys
             .reconfigure(|txn| -> Result<(), FrameworkError> {
-                txn.rebind_async("producer", "out1", "consumerC")?;
-                txn.reassign_domain("consumerB", "C")?;
-                txn.set_fault_policy("consumerC", FaultPolicy::Isolate)?;
+                txn.rebind_async(producer, "out1", consumer_c)?;
+                txn.reassign_domain(consumer_b, "C")?;
+                txn.set_fault_policy(consumer_c, FaultPolicy::Isolate)?;
                 Err(FrameworkError::Content(
                     "operator changed their mind".into(),
                 ))
@@ -3593,5 +3807,107 @@ mod tests {
         assert_eq!(probe.count("consumerB"), 20);
         assert_eq!(probe.count("consumerC"), 20);
         assert_eq!(sys.stats().dropped_messages, 0);
+    }
+
+    /// Refusals of a token minted by another deployment: one mutator, one
+    /// getter and one transaction op — the op after a valid one, so the
+    /// rollback has something to undo. The refused transaction leaves
+    /// every shard byte-identical.
+    fn refuse_foreign(sys: &mut ParallelSystem<u64>, foreign: ComponentRef) -> Vec<FrameworkError> {
+        let producer = sys.resolve("producer").unwrap();
+        let consumer_c = sys.resolve("consumerC").unwrap();
+        let digests = sys.structural_digests();
+        let refused = vec![
+            sys.set_fault_policy(foreign, FaultPolicy::Isolate)
+                .unwrap_err(),
+            sys.fault_policy(foreign).unwrap_err(),
+            sys.reconfigure(|txn| {
+                txn.set_fault_policy(consumer_c, FaultPolicy::Isolate)?;
+                txn.rebind_async(producer, "out1", foreign)
+            })
+            .unwrap_err(),
+        ];
+        assert_eq!(sys.structural_digests(), digests, "refusal rolled back");
+        assert_eq!(sys.fault_policy(consumer_c).unwrap(), FaultPolicy::Escalate);
+        refused
+    }
+
+    /// Tokens are deployment-scoped: a `ComponentRef` or `PortRef` minted
+    /// by one deployment is refused by another — on the serial hot path,
+    /// by a mutator, by a getter and inside a transaction, serial and
+    /// sharded alike — instead of silently addressing the slot it names
+    /// (both deployments below share one plan, so every foreign index is
+    /// in range).
+    #[test]
+    fn foreign_tokens_are_refused_serial_and_sharded() {
+        let probe = ThreadProbe::default();
+        let serial = || {
+            let arch = coupled_arch();
+            crate::Deployment::build(&coupled_spec(), Mode::MergeAll, &registry(&probe), arch)
+                .unwrap()
+        };
+        let sharded =
+            || ParallelSystem::build(&fan_spec(), Mode::MergeAll, &registry(&probe)).unwrap();
+        let (a, mut b) = (serial(), serial());
+        let foreign = a.resolve("producer").unwrap();
+        let foreign_port = a.port(a.resolve("consumerB").unwrap(), "in").unwrap();
+
+        let mut refused = vec![
+            b.run_transaction(foreign).unwrap_err(),
+            b.inject(foreign_port, 1).unwrap_err(),
+        ];
+        refused.extend(refuse_foreign(&mut b, foreign));
+        let (c, mut d) = (sharded(), sharded());
+        assert_eq!(d.shard_count(), 3);
+        refused.extend(refuse_foreign(&mut d, c.resolve("producer").unwrap()));
+        refused.extend(refuse_foreign(&mut d, foreign));
+        assert_eq!(refused.len(), 11);
+        for e in &refused {
+            let FrameworkError::Content(m) = e else {
+                panic!("expected a foreign-token refusal, got {e:?}");
+            };
+            assert!(m.ends_with("minted by a different deployment"), "{m}");
+        }
+
+        // Each deployment's own tokens still work.
+        let own = b.resolve("producer").unwrap();
+        b.run_transaction(own).unwrap();
+        d.run_ticks(1).unwrap();
+        assert_eq!(probe.count("consumerC"), 2);
+    }
+
+    /// A serial `Deployment` reaches `run_ticks` through the shared engine
+    /// API, so a panicking probe poisons it like any sharded deployment,
+    /// and its inline hot path refuses from then on.
+    #[test]
+    fn a_poisoned_serial_deployment_refuses_its_hot_path() {
+        let probe = ThreadProbe::default();
+        let mut dep = crate::Deployment::build(
+            &coupled_spec(),
+            Mode::MergeAll,
+            &registry(&probe),
+            coupled_arch(),
+        )
+        .unwrap();
+        let producer = dep.resolve("producer").unwrap();
+        let port = dep.port(dep.resolve("consumerB").unwrap(), "in").unwrap();
+        dep.run_transaction(producer).unwrap();
+        let err = dep
+            .run_ticks_instrumented(0, 1, &|| -> u64 { panic!("probe exploded") })
+            .unwrap_err();
+        assert!(matches!(err, FrameworkError::RunToCompletion(_)), "{err:?}");
+
+        for refused in [
+            dep.run_transaction(producer).unwrap_err(),
+            dep.run_tick().unwrap_err(),
+            dep.inject(port, 1).unwrap_err(),
+            dep.fire_timers_until(AbsoluteTime::MAX).unwrap_err(),
+        ] {
+            let FrameworkError::RunToCompletion(m) = &refused else {
+                panic!("expected a run-to-completion refusal, got {refused:?}");
+            };
+            assert!(m.contains("deployment 'fan' is poisoned: shard 0"), "{m}");
+            assert!(m.ends_with("panicked: probe exploded"), "{m}");
+        }
     }
 }

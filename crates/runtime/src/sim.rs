@@ -30,7 +30,8 @@ use rtsj::trace::TaskId;
 use soleil_membrane::content::Payload;
 use soleil_membrane::FrameworkError;
 
-use crate::deploy::{ComponentRef, Deployment};
+use crate::deploy::Deployment;
+use crate::parallel::ComponentRef;
 use crate::spec::{Activation, ProtocolSpec, SystemSpec};
 
 /// Per-component execution costs for the virtual-time deployment.
@@ -78,7 +79,7 @@ pub struct SimDeployment {
 impl SimDeployment {
     /// Deadline misses summed across every deployed task — the analytic
     /// counterpart of the runtime engine's deadline-miss counter
-    /// (`Deployment::deadline_misses`), so integration tests can
+    /// (`ParallelSystem::deadline_misses`), so integration tests can
     /// cross-check the simulator's virtual-time verdicts against the
     /// contract monitors' wall-clock ones on the same spec.
     pub fn deadline_misses(&self) -> u64 {
@@ -275,7 +276,8 @@ impl RecoveryMetrics {
 /// Runs a virtual-time fault campaign against a live engine deployment:
 /// `ticks` release ticks, watching `watch` for quarantine/recovery
 /// transitions between transactions. The deployment is expected to carry
-/// seeded engine-level [`FaultInjector`]s built
+/// seeded engine-level
+/// [`FaultInjector`](soleil_membrane::interceptors::FaultInjector)s built
 /// [`with_virtual_clock`](soleil_membrane::interceptors::FaultInjector::with_virtual_clock)
 /// — their latency spikes then advance the engine's release clock instead
 /// of the OS clock, so a campaign with multi-millisecond spikes still

@@ -1059,7 +1059,12 @@ impl<P: Payload> System<P> {
     ///
     /// [`FrameworkError::Content`] for unknown names.
     pub fn ceiling_of(&self, name: &str) -> Result<Option<Priority>, FrameworkError> {
-        Ok(self.nodes[self.slot_ix(name)?].ceiling)
+        Ok(self.ceiling_at(self.slot_ix(name)?))
+    }
+
+    /// Slot-indexed [`ceiling_of`](Self::ceiling_of).
+    pub(crate) fn ceiling_at(&self, slot: usize) -> Option<Priority> {
+        self.nodes[slot].ceiling
     }
 
     /// Resolves a component name to its engine slot.
@@ -1185,10 +1190,6 @@ impl<P: Payload> System<P> {
 
     pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    pub(crate) fn node_name(&self, slot: usize) -> &str {
-        &self.nodes[slot].name
     }
 
     pub(crate) fn node_started(&self, slot: usize) -> bool {
@@ -2662,19 +2663,9 @@ impl<P: Payload> System<P> {
 
     /// Installs a [`JitterMonitor`](soleil_membrane::interceptors::JitterMonitor)
     /// in a live component's membrane — *membrane-level* reconfiguration,
-    /// available only where membranes are reified (SOLEIL mode).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Unsupported`] in the merged modes.
-    pub fn enable_jitter_monitoring(&mut self, component: &str) -> Result<(), FrameworkError> {
-        self.require_soleil("membrane reconfiguration")?;
-        let slot = self.slot_ix(component)?;
-        self.enable_jitter_at(slot).map(|_| ())
-    }
-
-    /// Slot-indexed jitter-monitor installation (SOLEIL mode only);
-    /// true when a monitor was newly installed (the plan recompiled).
+    /// available only where membranes are reified (SOLEIL mode; the
+    /// journaled `install_jitter_monitor` transaction op). True when a
+    /// monitor was newly installed (the plan recompiled).
     pub(crate) fn enable_jitter_at(&mut self, slot: usize) -> Result<bool, FrameworkError> {
         self.require_soleil("membrane reconfiguration")?;
         let m = self.membranes[slot]
@@ -2734,27 +2725,6 @@ impl<P: Payload> System<P> {
             .as_mut()
             .expect("membrane present outside invocation")
             .remove_interceptor(name))
-    }
-
-    /// Removes a previously installed jitter monitor; true when one was
-    /// removed.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Unsupported`] in the merged modes.
-    pub fn disable_jitter_monitoring(&mut self, component: &str) -> Result<bool, FrameworkError> {
-        self.require_soleil("membrane reconfiguration")?;
-        let slot = self.slot_ix(component)?;
-        self.disable_jitter_at(slot)
-    }
-
-    /// Slot-indexed jitter-monitor removal (SOLEIL mode only).
-    pub(crate) fn disable_jitter_at(&mut self, slot: usize) -> Result<bool, FrameworkError> {
-        self.require_soleil("membrane reconfiguration")?;
-        Ok(self.membranes[slot]
-            .as_mut()
-            .expect("membrane present outside invocation")
-            .remove_interceptor("jitter-monitor"))
     }
 
     /// Inter-activation gaps recorded by a component's jitter monitor, in
@@ -4607,7 +4577,8 @@ mod tests {
         sys.run_transaction(head).unwrap();
 
         // Install on a live component (membrane-level reconfiguration).
-        sys.enable_jitter_monitoring("middle").unwrap();
+        let middle = sys.slot_of("middle").unwrap();
+        sys.enable_jitter_at(middle).unwrap();
         assert!(sys
             .membrane_info("middle")
             .unwrap()
@@ -4618,13 +4589,13 @@ mod tests {
         }
         let gaps = sys.jitter_observations("middle").unwrap();
         assert_eq!(gaps.len(), 4, "5 monitored activations -> 4 gaps");
-        assert!(sys.disable_jitter_monitoring("middle").unwrap());
-        assert!(!sys.disable_jitter_monitoring("middle").unwrap());
+        assert!(sys.remove_interceptor_at(middle, "jitter-monitor").unwrap());
+        assert!(!sys.remove_interceptor_at(middle, "jitter-monitor").unwrap());
 
         // Merged modes refuse: membranes are not reified.
         let mut merged = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
         assert!(matches!(
-            merged.enable_jitter_monitoring("middle"),
+            merged.enable_jitter_at(middle),
             Err(FrameworkError::Unsupported(_))
         ));
     }

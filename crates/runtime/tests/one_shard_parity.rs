@@ -1,7 +1,8 @@
-//! One-shard parity: a serial [`Deployment`] (typed `ComponentRef`s) and a
-//! [`ParallelSystem`] (names) built from the same one-domain spec and
-//! architecture behave identically under the same seeded sequence of
-//! reconfiguration batches.
+//! One-shard parity: a serial [`Deployment`] and a [`ParallelSystem`]
+//! built from the same one-domain spec and architecture behave identically
+//! under the same seeded sequence of reconfiguration batches, each driven
+//! through the one typed transaction with its own deployment's
+//! `ComponentRef`s.
 //!
 //! Each batch mixes stop/start/rebind/contract/policy operations; a
 //! rebind onto the heap-held service is refused at commit by SOL-006, and
@@ -195,14 +196,15 @@ fn policy(isolate: bool) -> FaultPolicy {
     }
 }
 
-/// Runs one batch through the serial deployment's typed transaction.
-fn serial_batch(
-    dep: &mut Deployment<u64>,
+/// Runs one batch through a deployment's typed transaction (a serial
+/// `Deployment` reaches it through `DerefMut`).
+fn batch(
+    sys: &mut ParallelSystem<u64>,
     refs: &[ComponentRef],
     ops: &[Op],
     abort: bool,
 ) -> Result<(), FrameworkError> {
-    dep.reconfigure(|txn| {
+    sys.reconfigure(|txn| {
         for &op in ops {
             match op {
                 Op::Stop(c) => txn.stop(refs[c])?,
@@ -213,32 +215,6 @@ fn serial_batch(
                     txn.detach_contract(refs[c])?;
                 }
                 Op::Policy(c, isolate) => txn.set_fault_policy(refs[c], policy(isolate))?,
-            }
-        }
-        if abort {
-            return Err(FrameworkError::Content("batch aborted".into()));
-        }
-        Ok(())
-    })
-}
-
-/// Runs the same batch through the sharded engine's named transaction.
-fn parallel_batch(
-    sys: &mut ParallelSystem<u64>,
-    ops: &[Op],
-    abort: bool,
-) -> Result<(), FrameworkError> {
-    sys.reconfigure(|txn| {
-        for &op in ops {
-            match op {
-                Op::Stop(c) => txn.stop(NAMES[c])?,
-                Op::Start(c) => txn.start(NAMES[c])?,
-                Op::Rebind(t) => txn.rebind("caller", "svc", NAMES[1 + t])?,
-                Op::Attach(c) => txn.attach_contract(NAMES[c], contract())?,
-                Op::Detach(c) => {
-                    txn.detach_contract(NAMES[c])?;
-                }
-                Op::Policy(c, isolate) => txn.set_fault_policy(NAMES[c], policy(isolate))?,
             }
         }
         if abort {
@@ -273,14 +249,15 @@ proptest! {
             ParallelSystem::build_with_arch(&spec(), mode, &registry(&parallel_counts), architecture())
                 .unwrap();
         prop_assert_eq!(sys.shard_count(), 1);
+        let sys_refs: Vec<ComponentRef> = NAMES.iter().map(|n| sys.resolve(n).unwrap()).collect();
 
         for (ops, abort) in &batches {
             // One batch in four ends in a closure error.
             let abort = *abort == 0;
             let serial_digest = dep.system().structural_digest();
             let parallel_digests = sys.structural_digests();
-            let serial = serial_batch(&mut dep, &refs, ops, abort);
-            let parallel = parallel_batch(&mut sys, ops, abort);
+            let serial = batch(&mut dep, &refs, ops, abort);
+            let parallel = batch(&mut sys, &sys_refs, ops, abort);
             prop_assert_eq!(
                 serial.as_ref().map_err(ToString::to_string),
                 parallel.as_ref().map_err(ToString::to_string),
@@ -301,10 +278,10 @@ proptest! {
                 prop_assert_eq!(s.is_ok(), p.is_ok(), "tick outcome: {:?} vs {:?}", s, p);
             }
             prop_assert_eq!(snapshot(&serial_counts), snapshot(&parallel_counts));
-            for (c, name) in NAMES.iter().enumerate() {
+            for c in 0..NAMES.len() {
                 prop_assert_eq!(
                     dep.fault_policy(refs[c]).unwrap(),
-                    sys.fault_policy(name).unwrap()
+                    sys.fault_policy(sys_refs[c]).unwrap()
                 );
             }
         }

@@ -27,7 +27,7 @@ use soleil_runtime::spec::{
     Activation, AreaSpec, BindingSpec, BufferPlacement, ComponentSpec, DomainSpec, ProtocolSpec,
     SystemSpec,
 };
-use soleil_runtime::{FaultPolicy, Mode, ParallelSystem};
+use soleil_runtime::{ComponentRef, FaultPolicy, Mode, ParallelSystem, Reconfiguration};
 
 type Counts = Arc<Mutex<HashMap<String, u64>>>;
 
@@ -196,26 +196,41 @@ fn apply_to_model(op: ReOp, spec: &mut SystemSpec, policy_c: &mut FaultPolicy) {
     }
 }
 
-/// Applies `op` to the live partition through one reconfiguration
-/// transaction.
-fn apply_live(sys: &mut ParallelSystem<u64>, op: ReOp) {
-    sys.reconfigure(|txn| match op {
+/// Tokens of `producer`, `consumerB` and `consumerC`, in that order.
+fn refs(sys: &ParallelSystem<u64>) -> [ComponentRef; 3] {
+    ["producer", CONSUMERS[0], CONSUMERS[1]].map(|n| sys.resolve(n).unwrap())
+}
+
+/// Applies `op` inside an open transaction.
+fn apply_op(
+    txn: &mut Reconfiguration<'_, u64>,
+    [producer, consumer_b, consumer_c]: [ComponentRef; 3],
+    op: ReOp,
+) -> Result<(), soleil_membrane::FrameworkError> {
+    match op {
         ReOp::Rebind { port_ix, server } => txn.rebind_async(
-            "producer",
+            producer,
             if port_ix == 0 { "out1" } else { "out2" },
-            CONSUMERS[server - 1],
+            [consumer_b, consumer_c][server - 1],
         ),
-        ReOp::MoveB { to_c } => txn.reassign_domain("consumerB", if to_c { "C" } else { "B" }),
+        ReOp::MoveB { to_c } => txn.reassign_domain(consumer_b, if to_c { "C" } else { "B" }),
         ReOp::Policy { isolate } => txn.set_fault_policy(
-            "consumerC",
+            consumer_c,
             if isolate {
                 FaultPolicy::Isolate
             } else {
                 FaultPolicy::Escalate
             },
         ),
-    })
-    .expect("every generated operation commits");
+    }
+}
+
+/// Applies `op` to the live partition through one reconfiguration
+/// transaction.
+fn apply_live(sys: &mut ParallelSystem<u64>, op: ReOp) {
+    let refs = refs(sys);
+    sys.reconfigure(|txn| apply_op(txn, refs, op))
+        .expect("every generated operation commits");
 }
 
 /// Runs `ticks` and returns the per-consumer delivery deltas.
@@ -270,7 +285,7 @@ proptest! {
         prop_assert_eq!(live.stats().dropped_messages, 0);
         prop_assert_eq!(fresh.stats().dropped_messages, 0);
         prop_assert_eq!(
-            live.fault_policy("consumerC").unwrap(),
+            live.fault_policy(refs(&live)[2]).unwrap(),
             final_policy_c,
             "policy swaps survive the sequence"
         );
@@ -290,29 +305,13 @@ proptest! {
         let mut sys = ParallelSystem::build(&base_spec(), mode, &registry(&counts)).unwrap();
         sys.run_ticks(3).unwrap();
         let digests = sys.structural_digests();
-        let policy = sys.fault_policy("consumerC").unwrap();
+        let refs = refs(&sys);
+        let policy = sys.fault_policy(refs[2]).unwrap();
 
         let err = sys
             .reconfigure(|txn| -> Result<(), soleil_membrane::FrameworkError> {
                 for &op in &ops {
-                    match op {
-                        ReOp::Rebind { port_ix, server } => txn.rebind_async(
-                            "producer",
-                            if port_ix == 0 { "out1" } else { "out2" },
-                            CONSUMERS[server - 1],
-                        )?,
-                        ReOp::MoveB { to_c } => {
-                            txn.reassign_domain("consumerB", if to_c { "C" } else { "B" })?
-                        }
-                        ReOp::Policy { isolate } => txn.set_fault_policy(
-                            "consumerC",
-                            if isolate {
-                                FaultPolicy::Isolate
-                            } else {
-                                FaultPolicy::Escalate
-                            },
-                        )?,
-                    }
+                    apply_op(txn, refs, op)?;
                 }
                 Err(soleil_membrane::FrameworkError::Content("refused".into()))
             })
@@ -321,7 +320,7 @@ proptest! {
 
         prop_assert_eq!(sys.structural_digests(), digests,
             "rollback restores every shard engine byte-identically");
-        prop_assert_eq!(sys.fault_policy("consumerC").unwrap(), policy);
+        prop_assert_eq!(sys.fault_policy(refs[2]).unwrap(), policy);
 
         // The restored topology routes exactly as the original.
         let delta = measure(&mut sys, &counts, 10);

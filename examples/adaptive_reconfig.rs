@@ -221,8 +221,9 @@ fn main() -> Result<(), SoleilError> {
     assert_eq!(backup.load(std::sync::atomic::Ordering::Relaxed), 10);
 
     // Membrane-level reconfiguration: inject a jitter monitor into the
-    // live producer membrane, observe, remove it again.
-    dep.enable_jitter_monitoring(producer)?;
+    // live producer membrane, observe, remove it again — each change a
+    // journaled transaction like any other.
+    dep.reconfigure(|txn| txn.install_jitter_monitor(producer))?;
     for _ in 0..20 {
         dep.run_transaction(producer)?;
     }
@@ -232,7 +233,7 @@ fn main() -> Result<(), SoleilError> {
         gaps.len(),
         gaps.iter().sum::<u64>() as f64 / gaps.len().max(1) as f64 / 1000.0
     );
-    dep.disable_jitter_monitoring(producer)?;
+    dep.reconfigure(|txn| txn.remove_jitter_monitor(producer))?;
     assert_eq!(backup.load(std::sync::atomic::Ordering::Relaxed), 30);
 
     // Fault policies are reconfiguration ops too: journaled, applied
@@ -335,6 +336,9 @@ fn main() -> Result<(), SoleilError> {
     let (mut sys, b_count, c_count) = build_parallel(Mode::Soleil)?;
     let load = |c: &HandledCounter| c.load(std::sync::atomic::Ordering::Relaxed);
     println!("  shards: {}", sys.shard_count());
+    let producer = sys.resolve("producer")?;
+    let consumer_b = sys.resolve("consumerB")?;
+    let consumer_c = sys.resolve("consumerC")?;
     sys.run_ticks(10)?;
     println!(
         "  before reconfiguration: consumerB={}, consumerC={}",
@@ -347,9 +351,9 @@ fn main() -> Result<(), SoleilError> {
     // allocation region from ImmB into ImmC), and swap a fault policy.
     println!("  ... transaction: rebind_async out1 -> consumerC, re-home consumerB, Isolate ...");
     sys.reconfigure(|txn| {
-        txn.rebind_async("producer", "out1", "consumerC")?;
-        txn.reassign_domain("consumerB", "C")?;
-        txn.set_fault_policy("consumerC", FaultPolicy::Isolate)
+        txn.rebind_async(producer, "out1", consumer_c)?;
+        txn.reassign_domain(consumer_b, "C")?;
+        txn.set_fault_policy(consumer_c, FaultPolicy::Isolate)
     })?;
     sys.run_ticks(10)?;
     println!(
@@ -364,8 +368,8 @@ fn main() -> Result<(), SoleilError> {
     // witnessed by the per-shard structural digests.
     let digests = sys.structural_digests();
     let refused = sys.reconfigure(|txn| -> Result<(), FrameworkError> {
-        txn.rebind_async("producer", "out2", "consumerB")?;
-        txn.reassign_domain("consumerB", "B")?;
+        txn.rebind_async(producer, "out2", consumer_b)?;
+        txn.reassign_domain(consumer_b, "B")?;
         Err(FrameworkError::Content(
             "operator changed their mind".into(),
         ))
@@ -379,7 +383,7 @@ fn main() -> Result<(), SoleilError> {
     assert_eq!((load(&b_count), load(&c_count)), (10, 40));
 
     // Components never migrate across the static domain partition.
-    match sys.reconfigure(|txn| txn.reassign_domain("consumerB", "A")) {
+    match sys.reconfigure(|txn| txn.reassign_domain(consumer_b, "A")) {
         Err(e) => println!("  cross-shard migration refused: {e}"),
         Ok(()) => panic!("cross-shard reassign_domain must be refused"),
     }

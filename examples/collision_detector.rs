@@ -261,11 +261,10 @@ fn main() -> Result<(), SoleilError> {
     // One on-demand extra radar frame through the release engine: armed on
     // the preallocated timer queue, fired when the engine clock passes it.
     let before = sys.stats().transactions;
-    sys.schedule_release(
-        head,
-        sys.timer_clock()
-            .saturating_add(RelativeTime::from_millis(1)),
-    )?;
+    let due = sys
+        .timer_clock()
+        .saturating_add(RelativeTime::from_millis(1));
+    sys.schedule_release(head, due)?;
     let fired = sys.fire_timers_until(
         sys.timer_clock()
             .saturating_add(RelativeTime::from_millis(5)),

@@ -92,15 +92,23 @@
 //! # }
 //! ```
 //!
-//! ## Migrating from the pre-witness API
+//! ## Migrating from earlier APIs
 //!
-//! | Removed (pre-witness API) | Replacement |
+//! | Removed | Replacement |
 //! |---|---|
 //! | `generate_unvalidated(&arch, …)` | `arch.into_validated()?` then [`deploy`]/[`generator::generate`] |
 //! | `compile_unvalidated(&arch)` | `arch.into_validated()?` then `compile(&validated)` |
-//! | `system.slot_of("name")` per call | [`Deployment::resolve`](runtime::Deployment::resolve) once → `ComponentRef` |
+//! | `system.slot_of("name")` per call | [`ParallelSystem::resolve`](runtime::ParallelSystem::resolve) once → `ComponentRef` |
 //! | `system.inject("name", "port", msg)` | [`Deployment::inject`](runtime::Deployment::inject) with a pre-resolved `PortRef` |
-//! | `system.stop(…)` / `rebind(…)` / `start(…)` | [`Deployment::reconfigure`](runtime::Deployment::reconfigure) transaction |
+//! | `system.stop(…)` / `rebind(…)` / `start(…)` | [`ParallelSystem::reconfigure`](runtime::ParallelSystem::reconfigure) transaction |
+//! | name-addressed `ParallelSystem` controls (`set_fault_policy("name", …)`, `attach_contract`, `schedule_release`, `set_supervisor`, …) | `resolve("name")?` once, then the same call with the `ComponentRef`; `set_supervisor`/`supervisor_of` return `ComponentRef`s |
+//! | `cancel_release(handle)` | `cancel_release(component, handle)` |
+//! | `ParallelReconfiguration` (names) | [`Reconfiguration`](runtime::Reconfiguration) (`ComponentRef`s), the one transaction type |
+//! | `enable_jitter_monitoring` / `disable_jitter_monitoring` | `reconfigure(\|txn\| txn.install_jitter_monitor(c))` / `remove_jitter_monitor(c)` |
+//!
+//! A [`Deployment`](runtime::Deployment) dereferences to
+//! [`ParallelSystem`](runtime::ParallelSystem): serial and sharded
+//! deployments share one control plane.
 //!
 //! The crates underneath (also usable standalone): [`rtsj`] (substrate),
 //! [`core`] (metamodel/ADL/validator), [`patterns`] (cross-scope patterns),
@@ -133,8 +141,8 @@ pub mod prelude {
     pub use crate::runtime::system::RELEASE_PORT;
     pub use crate::runtime::{
         run_recovery_campaign, ComponentRef, Deployment, EngineStats, FaultPolicy, FootprintReport,
-        Mode, ParallelReconfiguration, ParallelSystem, PortRef, Reconfiguration, RecoveryEpisode,
-        RecoveryMetrics, ShardRun, System, SystemSpec, TimerHandle, TimerQueue,
+        Mode, ParallelSystem, PortRef, Reconfiguration, RecoveryEpisode, RecoveryMetrics, ShardRun,
+        System, SystemSpec, TimerHandle, TimerQueue,
     };
     pub use crate::{SoleilError, SoleilResult};
     pub use rtsj::time::{AbsoluteTime, RelativeTime};

@@ -83,10 +83,11 @@ fn latency_spikes_breach_the_deadline_contract_in_parallel() {
     let probe = ScenarioProbe::new();
     let mut sys =
         deploy_parallel(&arch, Mode::MergeAll, &registry_with_probe(&probe)).expect("deploys");
-    sys.attach_contract("ProductionLine", tight_contract())
+    let head = sys.resolve("ProductionLine").expect("resolves");
+    sys.attach_contract(head, tight_contract())
         .expect("contract attaches");
     sys.install_fault_injector(
-        "ProductionLine",
+        head,
         FaultInjector::new("ProductionLine", 0xA11CE, 2)
             .with_menu(FaultInjector::MENU_LATENCY)
             .with_latency_spike_ns(SPIKE_NS),
@@ -97,7 +98,7 @@ fn latency_spikes_breach_the_deadline_contract_in_parallel() {
         .expect("latency faults never abort a tick");
 
     let (seen, injected) = sys
-        .injector_counts("ProductionLine")
+        .injector_counts(head)
         .expect("resolves")
         .expect("injector installed");
     assert_eq!(seen, 10, "every release drew from the injector");

@@ -283,7 +283,7 @@ fn hundreds_of_components_shard_into_independent_domains() {
             .shard_of_domain(&format!("D{d}"))
             .expect("domain placed");
         assert_eq!(
-            sys.shard_of_component(&format!("svc{d}")),
+            sys.shard_of_component(sys.resolve(&format!("svc{d}")).expect("resolves")),
             Some(shard),
             "passive service lives with its callers"
         );

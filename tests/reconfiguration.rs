@@ -194,7 +194,8 @@ fn failing_transaction_rolls_back_completely() {
     let caller = dep.resolve("caller").unwrap();
     let svc_a = dep.resolve("svc-a").unwrap();
     let svc_b = dep.resolve("svc-b").unwrap();
-    dep.enable_jitter_monitoring(caller).unwrap();
+    dep.reconfigure(|txn| txn.install_jitter_monitor(caller))
+        .unwrap();
     for _ in 0..3 {
         dep.run_transaction(caller).unwrap();
     }
@@ -709,12 +710,15 @@ fn deployment_schedules_and_cancels_releases() {
     assert_eq!(fired, 1);
     assert_eq!(dep.stats().timer_fires, 1);
     assert_eq!(a.load(Ordering::Relaxed), 1, "the fired release really ran");
-    assert!(!dep.cancel_release(h), "handle is stale after firing");
+    assert!(
+        !dep.cancel_release(caller, h).unwrap(),
+        "handle is stale after firing"
+    );
 
     let h2 = dep
         .schedule_release(caller, AbsoluteTime::from_millis(10))
         .unwrap();
-    assert!(dep.cancel_release(h2));
+    assert!(dep.cancel_release(caller, h2).unwrap());
     assert_eq!(
         dep.fire_timers_until(AbsoluteTime::from_millis(20))
             .unwrap(),
