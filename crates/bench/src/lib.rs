@@ -480,10 +480,11 @@ pub fn baseline_contract() -> TimingContract {
 
 /// The `PARALLEL` row of the steady-state artifact: the motivation
 /// scenario sharded by thread domain ([`deploy_parallel`]), every shard
-/// ticking on its own OS thread, cross-domain messages on wait-free SPSC
-/// rings. One tick of the producer shard is the analogue of one serial
-/// transaction; the reported median is the *slowest* shard's (the
-/// parallel critical path). Allocation counters are per-thread and summed
+/// ticking on its own OS thread (shard 0 on the caller's, the others on
+/// leased workers), cross-domain messages on wait-free SPSC rings. One
+/// tick of the producer shard is the analogue of one serial transaction;
+/// the reported median is the *slowest* shard's (the parallel critical
+/// path). Allocation counters are per-thread and summed
 /// across shards — the zero-alloc gate applies to every thread.
 ///
 /// # Errors

@@ -220,12 +220,14 @@ fn parallel_steady_state_is_allocation_free_on_every_thread() {
         .run_ticks_instrumented(0, OBSERVATIONS, &alloc_probe::allocations)
         .expect("parallel run");
 
-    // Distinct OS threads, none of them this one.
+    // Distinct OS threads: this one drove shard 0, workers the others.
     let mut threads: Vec<_> = runs.iter().map(|r| format!("{:?}", r.thread)).collect();
     threads.sort();
     threads.dedup();
     assert_eq!(threads.len(), runs.len(), "every shard on its own thread");
-    assert!(runs.iter().all(|r| r.thread != std::thread::current().id()));
+    let caller = std::thread::current().id();
+    assert_eq!(runs[0].thread, caller, "the caller drives shard 0");
+    assert!(runs[1..].iter().all(|r| r.thread != caller));
 
     for r in &runs {
         assert_eq!(

@@ -1,11 +1,12 @@
 //! The process-wide cache of idle worker threads behind
 //! [`ParallelSystem`](crate::parallel::ParallelSystem)'s shards.
 //!
-//! A deployment leases one thread per shard on its first run and keeps it
-//! for its whole life. When the deployment drops, each thread parks back
-//! here and waits for its next lease, so a deployment built after another
-//! one is dropped runs on warm threads instead of spawning cold ones.
-//! Spawning is only the fallback for an empty cache.
+//! A deployment leases one thread per shard beyond the first on its first
+//! run — the caller drives shard 0 itself, so a one-shard plan leases none
+//! — and keeps it for its whole life. When the deployment drops, each
+//! thread parks back here and waits for its next lease, so a deployment
+//! built after another one is dropped runs on warm threads instead of
+//! spawning cold ones. Spawning is only the fallback for an empty cache.
 
 use std::io;
 use std::sync::mpsc::{sync_channel, SendError, SyncSender};

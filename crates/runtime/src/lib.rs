@@ -21,8 +21,9 @@
 //!
 //! For deployments whose thread domains are independent, [`parallel`]
 //! shards the engine by domain — one `System` (and one slab-backed
-//! memory manager) per shard, each ticking on its own OS thread, with
-//! cross-shard bindings on wait-free SPSC rings. Payloads and content are
+//! memory manager) per shard, each ticking on its own OS thread (shard 0
+//! on the caller's, the others on leased workers), with cross-shard
+//! bindings on wait-free SPSC rings. Payloads and content are
 //! `Send` to make that legal; the partition rules live in the module docs.
 //!
 //! The engine is also a **release engine**: [`timer`] provides a

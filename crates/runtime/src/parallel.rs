@@ -24,32 +24,35 @@
 //!    engine-local exchange buffers — the carrier is chosen here, at build
 //!    time, exactly like RTSJ's `WaitFreeWriteQueue` sits between a
 //!    no-heap producer and a heap consumer.
-//! 3. **Execution.** Every shard ticks on its own persistent worker
-//!    thread, never the caller's. On its first run the deployment leases
-//!    one thread per shard from a process-wide idle-thread cache
-//!    (spawning only when the cache is empty) and keeps it for its whole
-//!    life; each [`ParallelSystem::run_ticks`] call moves every shard to
-//!    its worker by ownership over a bounded channel and takes it back
-//!    the same way, so a call costs two channel hand-offs per shard, not
-//!    a thread spawn and join. Dropping the deployment closes the
-//!    channels and parks its threads back in the cache before `drop`
-//!    returns. A worker releases its shard's
-//!    periodic heads ([`System::run_tick`]) and drains its incoming rings
-//!    (highest consumer priority first) in **batches**: each drain pass
-//!    snapshots a ring's published head once and pops the whole visible
-//!    run against the cached value, amortizing the `Acquire` load over
-//!    the batch instead of paying it per message; every popped message
-//!    injects as a run-to-completion activation. A tick round ends with a
-//!    quiescence protocol: a shared in-flight counter is incremented
-//!    *before* every cross push and decremented **batch-wise** after the
-//!    batch's activations complete (later-than-necessary decrements are
-//!    conservative), so `all ticks done ∧ in-flight == 0` still proves no
-//!    message exists anywhere — only then do the workers hand their
-//!    shards back. A panic on a worker is caught there: the run fails
-//!    with a typed error naming the shard, and the deployment is
-//!    *poisoned* — later runs, reconfigurations and every mutating
-//!    control call refuse, and so does a serial deployment's inline hot
-//!    path.
+//! 3. **Execution.** The caller drives shard 0; every other shard ticks
+//!    on its own persistent worker thread. On its first run the
+//!    deployment leases one thread per shard beyond the first from a
+//!    process-wide idle-thread cache (spawning only when the cache is
+//!    empty) and keeps it for its whole life — a one-shard plan leases
+//!    none. Each [`ParallelSystem::run_ticks`] call moves every other
+//!    shard to its worker by ownership over a bounded channel, runs
+//!    shard 0 inline through the same job body, then takes the others
+//!    back the same way: one hand-off round trip per *other* shard, not a
+//!    thread spawn and join, and no wake-up for the caller's own shard.
+//!    Dropping the deployment closes the channels and parks its threads
+//!    back in the cache before `drop` returns. Each shard's thread
+//!    releases its periodic heads ([`System::run_tick`]) and drains its
+//!    incoming rings (highest consumer priority first) in **batches**:
+//!    each drain pass snapshots a ring's published head once and pops the
+//!    whole visible run against the cached value, amortizing the
+//!    `Acquire` load over the batch instead of paying it per message;
+//!    every popped message injects as a run-to-completion activation. A
+//!    tick round ends with a quiescence protocol: a shared in-flight
+//!    counter is incremented *before* every cross push and decremented
+//!    **batch-wise** after the batch's activations complete
+//!    (later-than-necessary decrements are conservative), so `all ticks
+//!    done ∧ in-flight == 0` still proves no message exists anywhere —
+//!    only then do the workers hand their shards back. A panic on any
+//!    shard's thread, the caller's included, is caught in the shard's
+//!    job: the run fails with a typed error naming the shard, and the
+//!    deployment is *poisoned* — later runs, reconfigurations and every
+//!    mutating control call refuse, and so does a serial deployment's
+//!    inline hot path.
 //!    Steady-state ticks allocate nothing on any thread: rings, slabs and
 //!    scope stacks are provisioned at build/warmup time.
 //! 4. **The control plane.** [`ParallelSystem::resolve`] turns a
@@ -288,8 +291,9 @@ fn resort_incoming<P: Payload>(shard: &mut Shard<P>) {
 pub struct ShardRun {
     /// Shard label (its thread-domain names joined with `+`).
     pub label: String,
-    /// The OS thread the shard ticked on: its leased worker, the same
-    /// one for every run of a deployment.
+    /// The OS thread the shard ticked on: the caller's for shard 0, its
+    /// leased worker for every other shard, the same one for every run of
+    /// a deployment.
     pub thread: ThreadId,
     /// Measured ticks driven.
     pub ticks: u64,
@@ -364,9 +368,13 @@ pub struct ParallelSystem<P: Payload> {
     /// The run control block shared with the workers, reset at the start
     /// of every run; it owns the in-flight quiescence counter.
     ctl: Arc<Ctl>,
-    /// One leased worker per shard (same order), empty until the first
-    /// run.
+    /// One leased worker per shard beyond the first: `workers[i]` serves
+    /// shard `i + 1` (the caller drives shard 0). Empty until the first
+    /// run, and always empty on a one-shard plan.
     workers: Vec<Worker<P>>,
+    /// Shard 0's per-tick sample buffer, reused across runs on the
+    /// caller's thread like each worker's own.
+    nanos: Vec<u64>,
     /// Set when a shard worker panicked: the root cause every later run
     /// and reconfiguration refuses with.
     poisoned: Option<String>,
@@ -490,6 +498,7 @@ impl<P: Payload> ParallelSystem<P> {
             ctl: Arc::new(Ctl::new(shards.len(), in_flight)),
             shards,
             workers: Vec::new(),
+            nanos: Vec::new(),
             poisoned: None,
             spec: spec.clone(),
             comp_slot,
@@ -696,7 +705,7 @@ impl<P: Payload> ParallelSystem<P> {
     }
 
     /// Number of shards (independent engines, each ticking on its own
-    /// leased worker thread).
+    /// thread: shard 0 on the caller's, the others on leased workers).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -1333,13 +1342,13 @@ impl<P: Payload> ParallelSystem<P> {
         report
     }
 
-    /// Releases every periodic head of every shard `ticks` times, each
-    /// shard on its own leased worker thread, then runs cross-shard
-    /// traffic to quiescence. Equivalent to [`run_ticks_instrumented`]
-    /// with no warmup and a constant probe. (The one-shard plan a
-    /// [`crate::Deployment`] is built on never comes through here and
-    /// never leases a worker: its ticks and transactions run inline on
-    /// the caller's thread.)
+    /// Releases every periodic head of every shard `ticks` times — shard
+    /// 0 on the calling thread, every other shard on its own leased worker
+    /// thread — then runs cross-shard traffic to quiescence. Equivalent to
+    /// [`run_ticks_instrumented`] with no warmup and a constant probe. A
+    /// one-shard plan (a one-domain build, or the plan a
+    /// [`crate::Deployment`] is built on) runs entirely inline and leases
+    /// no thread.
     ///
     /// # Errors
     ///
@@ -1354,24 +1363,25 @@ impl<P: Payload> ParallelSystem<P> {
     /// The instrumented tick loop: `warmup` unmeasured ticks per shard
     /// (provisioning lazily-grown structures), a quiescence point, then
     /// `ticks` measured ticks with per-tick timing. `probe` is sampled on
-    /// each shard's own thread around the measured phase — pass a
-    /// per-thread allocation counter to gate the steady state at 0
-    /// allocations, as `soleil-bench` does. The probe is `'static`
-    /// because the shards' worker threads outlive the call: a reference
-    /// to a fn item or to a non-capturing closure qualifies.
+    /// each shard's own thread around the measured phase (shard 0's is
+    /// the caller's) — pass a per-thread allocation counter to gate the
+    /// steady state at 0 allocations, as `soleil-bench` does. The probe is
+    /// `'static` because the shards' worker threads outlive the call: a
+    /// reference to a fn item or to a non-capturing closure qualifies.
     ///
-    /// The first run leases one persistent worker thread per shard from
-    /// a process-wide idle-thread cache; every later run reuses the same
-    /// threads ([`ShardRun::thread`] stays put), and dropping the
-    /// deployment parks them back in the cache for the next deployment.
+    /// The caller drives shard 0 itself. The first run leases one
+    /// persistent worker thread per other shard from a process-wide
+    /// idle-thread cache; every later run reuses the same threads
+    /// ([`ShardRun::thread`] stays put), and dropping the deployment parks
+    /// them back in the cache for the next deployment.
     ///
     /// # Errors
     ///
     /// * The first engine error from any shard aborts the run everywhere
     ///   ([`FrameworkError::RunToCompletion`] naming that shard).
     /// * A panic on a shard's thread (in an engine or in `probe`) aborts
-    ///   the run the same way, never the caller, and poisons the
-    ///   deployment: this and every later run, and every
+    ///   the run the same way — it never unwinds out of this call — and
+    ///   poisons the deployment: this and every later run, and every
     ///   [`reconfigure`](Self::reconfigure), refuses with
     ///   [`FrameworkError::RunToCompletion`].
     /// * The OS refused to start a worker thread.
@@ -1391,28 +1401,32 @@ impl<P: Payload> ParallelSystem<P> {
         })
     }
 
-    /// Hands every shard to its worker with `order`, waits for all of them
-    /// to hand their shard back, and returns the runs in shard order
-    /// (none for [`Order::Drain`]). The single execution path of
+    /// Hands every shard but the first to its worker with `order`, drives
+    /// shard 0 with the same order on the calling thread, then waits for
+    /// the workers to hand their shards back; returns the runs in shard
+    /// order (none for [`Order::Drain`]). The single execution path of
     /// [`run_ticks_instrumented`](Self::run_ticks_instrumented) and
     /// [`quiesce`](Self::quiesce).
     fn dispatch(&mut self, order: Order) -> Result<Vec<ShardRun>, FrameworkError> {
         self.check_poisoned()?;
         self.ctl.reset();
-        while self.workers.len() < self.shards.len() {
-            let worker = Worker::lease(self.workers.len(), &self.ctl).map_err(|e| {
+        if self.shards.is_empty() {
+            return Ok(Vec::new());
+        }
+        while self.workers.len() + 1 < self.shards.len() {
+            let worker = Worker::lease(self.workers.len() + 1, &self.ctl).map_err(|e| {
                 FrameworkError::RunToCompletion(format!("cannot start a shard worker: {e}"))
             })?;
             self.workers.push(worker);
         }
-        // Shards travel by ownership and come back, in order, into the
+        // Shards 1.. travel by ownership and come back, in order, into the
         // same Vec: no per-call allocation beyond the returned runs.
         let mut shards = std::mem::take(&mut self.shards);
         let mut stranded = Vec::new();
         let mut sent = 0;
         {
-            let mut pending = shards.drain(..);
-            for (ix, worker) in self.workers.iter().enumerate() {
+            let mut pending = shards.drain(1..);
+            for (ix, worker) in (1..).zip(&self.workers) {
                 let Some(shard) = pending.next() else { break };
                 if let Err(SendError(job)) = worker.jobs.send(Job { shard, order }) {
                     let gone = FrameworkError::RunToCompletion("its worker thread is gone".into());
@@ -1424,38 +1438,34 @@ impl<P: Payload> ParallelSystem<P> {
                 sent += 1;
             }
         }
+        // Every job is out before shard 0 starts, so a failed send has
+        // already raised the abort flag: the caller never waits in a gate
+        // for a shard that will not run.
+        let first = run_job(0, &self.ctl, &mut shards[0], order, &mut self.nanos);
         let mut runs = Vec::with_capacity(match order {
-            Order::Run { .. } => sent,
+            Order::Run { .. } => sent + 1,
             Order::Drain => 0,
         });
-        let mut failed = !stranded.is_empty();
-        for (ix, worker) in self.workers[..sent].iter().enumerate() {
-            let Ok(done) = worker.done.recv() else {
+        let mut ok = stranded.is_empty();
+        ok &= first.settle(0, &shards[0].label, &mut runs, &mut self.poisoned);
+        for (ix, worker) in (1..).zip(&self.workers[..sent]) {
+            let Ok(Done { shard, outcome }) = worker.done.recv() else {
                 // Unreachable while jobs run under `catch_unwind`: only a
                 // thread unwinding outside a job drops its reply sender.
                 self.poisoned
                     .get_or_insert_with(|| format!("shard {ix}'s worker thread died"));
-                failed = true;
+                ok = false;
                 continue;
             };
-            if let Some(detail) = done.panic {
-                self.poisoned.get_or_insert_with(|| {
-                    format!("shard {ix} ('{}') panicked: {detail}", done.shard.label)
-                });
-            }
-            match done.out {
-                Ok(Some(run)) => runs.push(run),
-                Ok(None) => {}
-                Err(_) => failed = true,
-            }
-            shards.push(done.shard);
+            ok &= outcome.settle(ix, &shard.label, &mut runs, &mut self.poisoned);
+            shards.push(shard);
         }
         shards.append(&mut stranded);
         self.shards = shards;
         // On abort every shard returns an error, but only one of them is
         // the root cause — surface that one (with its shard named), never
         // whichever sibling happened to come first in shard order.
-        if failed {
+        if !ok {
             return Err(self.ctl.aborted());
         }
         Ok(runs)
@@ -1504,9 +1514,10 @@ impl<P: Payload> ParallelSystem<P> {
     /// message in any cross-domain ring. Between parallel runs the
     /// partition is normally already quiescent (run-to-completion drains
     /// before workers hand their shards back), so the fast path is two
-    /// loads; otherwise the shards' own drain loops run on their workers
-    /// — on each shard's data, priority order preserved — until the
-    /// in-flight counter proves global silence.
+    /// loads; otherwise the shards' own drain loops run — shard 0's on
+    /// the caller, the others on their workers, on each shard's data,
+    /// priority order preserved — until the in-flight counter proves
+    /// global silence.
     fn quiesce(&mut self) -> Result<(), FrameworkError> {
         if self.ctl.in_flight.load(Ordering::SeqCst) == 0
             && self
@@ -1704,9 +1715,8 @@ pub struct Reconfiguration<'s, P: Payload> {
 
 impl<'s, P: Payload> Reconfiguration<'s, P> {
     /// Opens a transaction: refuses static and poisoned deployments, then
-    /// drives the partition to a quiescence epoch (a one-shard plan is
-    /// always quiescent between calls, so it stays on the caller's
-    /// thread).
+    /// drives the partition to a quiescence epoch (on a one-shard plan,
+    /// entirely on the caller's thread).
     fn begin(sys: &'s mut ParallelSystem<P>) -> Result<Self, FrameworkError> {
         if sys.mode == Mode::UltraMerge {
             return Err(FrameworkError::Unsupported(
@@ -2675,12 +2685,40 @@ struct Job<P: Payload> {
     order: Order,
 }
 
-/// A worker's reply: the shard, always handed back, its outcome, and the
-/// panic message if the job panicked.
-struct Done<P: Payload> {
-    shard: Shard<P>,
+/// One shard's outcome of one job: its run (none for [`Order::Drain`])
+/// or error, plus the panic message if the job panicked.
+struct Outcome {
     out: Result<Option<ShardRun>, FrameworkError>,
     panic: Option<String>,
+}
+
+impl Outcome {
+    /// Folds shard `ix`'s outcome into the call's: its run into `runs`, a
+    /// panic into `poisoned` (the first cause wins). Returns false when
+    /// the shard failed.
+    fn settle(
+        self,
+        ix: usize,
+        label: &str,
+        runs: &mut Vec<ShardRun>,
+        poisoned: &mut Option<String>,
+    ) -> bool {
+        if let Some(detail) = self.panic {
+            poisoned.get_or_insert_with(|| format!("shard {ix} ('{label}') panicked: {detail}"));
+        }
+        match self.out {
+            Ok(Some(run)) => runs.push(run),
+            Ok(None) => {}
+            Err(_) => return false,
+        }
+        true
+    }
+}
+
+/// A worker's reply: the shard, always handed back, and its outcome.
+struct Done<P: Payload> {
+    shard: Shard<P>,
+    outcome: Outcome,
 }
 
 /// The deployment's end of one leased worker thread: a bounded channel
@@ -2701,8 +2739,46 @@ impl<P: Payload> Worker<P> {
     }
 }
 
-/// A leased thread's loop: run each job under `catch_unwind`, so the
-/// shard always goes back to the caller.
+/// Runs one job on shard `ix` — on its worker, or on the caller's thread
+/// for shard 0 — under `catch_unwind`, so a panic becomes the shard's
+/// error and the shard always goes back to the caller; any error is
+/// recorded as the run's fault. `nanos` is the running thread's sample
+/// buffer, reused across runs.
+fn run_job<P: Payload>(
+    ix: usize,
+    ctl: &Ctl,
+    shard: &mut Shard<P>,
+    order: Order,
+    nanos: &mut Vec<u64>,
+) -> Outcome {
+    let caught = catch_unwind(AssertUnwindSafe(|| match order {
+        Order::Run {
+            warmup,
+            ticks,
+            probe,
+        } => shard_worker(shard, ctl, warmup, ticks, probe, nanos).map(Some),
+        Order::Drain => {
+            ctl.warmup_done.fetch_add(1, Ordering::SeqCst);
+            let mut ds = DrainStats::default();
+            drain_until_quiescent(shard, ctl, &ctl.warmup_done, &mut ds).map(|()| None)
+        }
+    }));
+    let (out, panic) = match caught {
+        Ok(out) => (out, None),
+        Err(payload) => {
+            let detail = panic_detail(payload);
+            let e = FrameworkError::RunToCompletion(format!("shard worker panicked: {detail}"));
+            (Err(e), Some(detail))
+        }
+    };
+    if let Err(e) = &out {
+        ctl.record_fault(ix, &shard.label, e);
+    }
+    Outcome { out, panic }
+}
+
+/// A leased thread's loop: serve shard `ix`'s jobs until the deployment
+/// drops.
 fn serve<P: Payload>(
     ix: usize,
     ctl: &Ctl,
@@ -2712,30 +2788,8 @@ fn serve<P: Payload>(
 ) {
     let mut nanos = Vec::new();
     while let Ok(Job { mut shard, order }) = jobs.recv() {
-        let caught = catch_unwind(AssertUnwindSafe(|| match order {
-            Order::Run {
-                warmup,
-                ticks,
-                probe,
-            } => shard_worker(&mut shard, ctl, warmup, ticks, probe, &mut nanos).map(Some),
-            Order::Drain => {
-                ctl.warmup_done.fetch_add(1, Ordering::SeqCst);
-                let mut ds = DrainStats::default();
-                drain_until_quiescent(&mut shard, ctl, &ctl.warmup_done, &mut ds).map(|()| None)
-            }
-        }));
-        let (out, panic) = match caught {
-            Ok(out) => (out, None),
-            Err(payload) => {
-                let detail = panic_detail(payload);
-                let e = FrameworkError::RunToCompletion(format!("shard worker panicked: {detail}"));
-                (Err(e), Some(detail))
-            }
-        };
-        if let Err(e) = &out {
-            ctl.record_fault(ix, &shard.label, e);
-        }
-        if done.send(Done { shard, out, panic }).is_err() {
+        let outcome = run_job(ix, ctl, &mut shard, order, &mut nanos);
+        if done.send(Done { shard, outcome }).is_err() {
             break;
         }
     }
@@ -2845,8 +2899,8 @@ fn gate(counter: &AtomicUsize, ctl: &Ctl) -> Result<(), FrameworkError> {
     Ok(())
 }
 
-/// One shard's run on its worker thread. `nanos` is the worker's sample
-/// buffer, reused across runs.
+/// One shard's run on its thread (a worker's, or the caller's for shard
+/// 0). `nanos` is that thread's sample buffer, reused across runs.
 fn shard_worker<P: Payload>(
     shard: &mut Shard<P>,
     ctl: &Ctl,
@@ -3117,10 +3171,12 @@ mod tests {
             let runs = sys.run_ticks(25).unwrap();
             assert_eq!(runs.len(), 3, "{mode}");
 
-            // Every shard ran on its own OS thread, none on the test thread.
+            // The test thread drove shard 0; every other shard ran on its
+            // own worker thread, and no two shards shared a thread.
             let main = std::thread::current().id();
             let mut threads: Vec<ThreadId> = runs.iter().map(|r| r.thread).collect();
-            assert!(threads.iter().all(|&t| t != main), "{mode}");
+            assert_eq!(threads[0], main, "{mode}: the caller drives shard 0");
+            assert!(threads[1..].iter().all(|&t| t != main), "{mode}");
             threads.dedup();
             threads.sort_by_key(|t| format!("{t:?}"));
             threads.dedup();
@@ -3908,6 +3964,145 @@ mod tests {
             };
             assert!(m.contains("deployment 'fan' is poisoned: shard 0"), "{m}");
             assert!(m.ends_with("panicked: probe exploded"), "{m}");
+        }
+    }
+
+    /// A one-shard plan leases no thread: its runs — and a reconfiguration
+    /// whose quiescence point has to drain a ring — run inline on the
+    /// caller's thread, for a one-domain sharded build and a serial
+    /// `Deployment` alike.
+    #[test]
+    fn a_one_shard_plan_runs_inline_and_leases_no_worker() {
+        fn check(sys: &mut ParallelSystem<u64>, probe: &ThreadProbe) {
+            let caller = std::thread::current().id();
+            assert_eq!(sys.shard_count(), 1);
+            for runs in [
+                sys.run_ticks(5).unwrap(),
+                sys.run_ticks_instrumented(0, 5, &|| 0).unwrap(),
+            ] {
+                assert_eq!(runs.len(), 1);
+                assert_eq!(runs[0].thread, caller, "the caller drives the only shard");
+                assert_eq!(runs[0].ticks, 5);
+            }
+            assert!(sys.workers.is_empty(), "no worker leased");
+            assert_eq!(probe.count("consumerB"), 10);
+            assert_eq!(probe.thread_of("consumerB"), Some(caller));
+
+            // A message waiting on a ring takes `quiesce` off its fast path
+            // and onto the `Order::Drain` job, which must stay inline too.
+            let consumer_b = sys.resolve("consumerB").unwrap();
+            let (shard, slot) = sys.comp_slot[consumer_b.g as usize];
+            let (mut tx, rx) = spsc_ring::<u64>(4).unwrap();
+            sys.ctl.in_flight.fetch_add(1, Ordering::SeqCst);
+            assert!(matches!(tx.push(7), soleil_patterns::PushOutcome::Accepted));
+            sys.shards[shard].incoming.push(CrossIn {
+                rx,
+                slot,
+                port_ix: 0,
+                tag: u64::MAX,
+            });
+            sys.reconfigure(|_txn| Ok(())).unwrap();
+            assert_eq!(probe.count("consumerB"), 11, "the drain delivered it");
+            assert_eq!(probe.thread_of("consumerB"), Some(caller));
+            assert_eq!(sys.ctl.in_flight.load(Ordering::SeqCst), 0);
+            assert!(sys.workers.is_empty(), "the drain leased no worker");
+            sys.shards[shard].incoming.clear();
+        }
+
+        let mut one_domain = fan_spec();
+        one_domain.domains.truncate(1);
+        for c in &mut one_domain.components {
+            c.domain = Some(0);
+        }
+        let probe = ThreadProbe::default();
+        let mut sharded =
+            ParallelSystem::build(&one_domain, Mode::MergeAll, &registry(&probe)).unwrap();
+        check(&mut sharded, &probe);
+
+        let probe = ThreadProbe::default();
+        let mut serial = crate::Deployment::build(
+            &coupled_spec(),
+            Mode::MergeAll,
+            &registry(&probe),
+            coupled_arch(),
+        )
+        .unwrap();
+        check(&mut serial, &probe);
+    }
+
+    /// Wraps a content and panics from its second checkpoint on (the first
+    /// is `enable_checkpoint`'s capability probe). The engine catches
+    /// panics at the activation boundary only, so a cadence capture's
+    /// panic unwinds out of the shard's tick into its job.
+    #[derive(Debug)]
+    struct CheckpointBomb {
+        inner: Box<dyn Content<u64>>,
+        checkpoints: AtomicU64,
+    }
+    impl Content<u64> for CheckpointBomb {
+        fn on_invoke(&mut self, p: &str, msg: &mut u64, out: &mut dyn Ports<u64>) -> InvokeResult {
+            self.inner.on_invoke(p, msg, out)
+        }
+
+        fn checkpoint(&self, _image: &mut soleil_membrane::content::StateImage) -> bool {
+            if self.checkpoints.fetch_add(1, Ordering::Relaxed) > 0 {
+                panic!("checkpoint exploded");
+            }
+            true
+        }
+    }
+
+    /// The caller drives shard 0 and workers drive the others through one
+    /// job body: a panic on either side fails the run with a typed error
+    /// naming the right shard (`workers[i]` serves shard `i + 1`), never
+    /// unwinds out of `run_ticks` or strands the caller in a gate, and
+    /// poisons the deployment with every shard handed back.
+    #[test]
+    fn a_panic_on_the_inline_or_a_worker_shard_names_its_shard() {
+        for (component, label) in [("producer", "A"), ("consumerC", "C")] {
+            let probe = ThreadProbe::default();
+            let spec = fan_spec();
+            let mut reg = registry(&probe);
+            let g = spec
+                .components
+                .iter()
+                .position(|c| c.name == component)
+                .unwrap();
+            let class = spec.components[g].content_class.clone();
+            let inner = reg.factory(&class).unwrap();
+            reg.register(class, move || {
+                Box::new(CheckpointBomb {
+                    inner: inner(),
+                    checkpoints: AtomicU64::new(0),
+                })
+            });
+            let mut sys = ParallelSystem::build(&spec, Mode::MergeAll, &reg).unwrap();
+            let target = sys.resolve(component).unwrap();
+            let ix = sys.shard_of_component(target).unwrap();
+            assert_eq!(ix, sys.shard_of_domain(label).unwrap());
+            sys.enable_checkpoint(target, 1).unwrap();
+
+            let err = sys.run_ticks(10).unwrap_err();
+            let FrameworkError::RunToCompletion(msg) = &err else {
+                panic!("expected a run-to-completion error, got {err:?}");
+            };
+            assert!(
+                msg.starts_with(&format!("parallel run aborted by shard {ix} ('{label}'): ")),
+                "{msg}"
+            );
+            assert!(msg.ends_with("panicked: checkpoint exploded"), "{msg}");
+            assert_eq!(sys.shard_count(), 3, "every shard came back");
+            assert_eq!(sys.structural_digests().len(), 3);
+            assert_eq!(sys.workers.len(), 2);
+
+            let refused = sys.run_ticks(1).unwrap_err();
+            assert_eq!(
+                refused.to_string(),
+                format!(
+                    "run-to-completion violated: deployment 'fan' is poisoned: \
+                     shard {ix} ('{label}') panicked: checkpoint exploded"
+                )
+            );
         }
     }
 }
