@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rtsj::memory::{MemoryManager, ScopedMemoryParams};
 use rtsj::thread::ThreadKind;
 use soleil::core::adl::{from_xml, MOTIVATION_EXAMPLE_XML};
-use soleil::generator::{compile, generate};
+use soleil::generator::compile;
 use soleil::prelude::*;
 use soleil::scenario::{motivation_architecture, motivation_validated, registry};
 
@@ -37,7 +37,7 @@ fn bench_generation(c: &mut Criterion) {
         group.bench_function(mode.to_string(), |b| {
             b.iter_batched(
                 registry,
-                |reg| generate(&arch, mode, &reg).expect("builds"),
+                |reg| deploy(&arch, mode, &reg).expect("builds"),
                 BatchSize::SmallInput,
             );
         });

@@ -17,6 +17,7 @@
 mod alloc_probe;
 
 use soleil::generator::{deploy, deploy_parallel};
+use soleil::membrane::interceptors::JitterMonitor;
 use soleil::prelude::*;
 use soleil::scenario::{motivation_validated, registry_with_probe, OoSystem, ScenarioProbe};
 
@@ -150,6 +151,55 @@ fn steady_state_transactions_never_touch_the_rust_heap() {
                 .expect("capability enabled"),
             (1 + total / CADENCE as u64, 0),
             "{mode}: the checkpoint must capture only on its cadence"
+        );
+    }
+}
+
+/// The paper's §3.3 live-interceptor demo runs inside the gate: a SOLEIL
+/// deployment gains jitter monitors through a journaled `reconfigure`
+/// before the measured phase, and every monitored activation records its
+/// gap into the monitor's preallocated ring — zero allocations per
+/// transaction, however long the run.
+#[test]
+fn soleil_live_jitter_monitors_never_touch_the_rust_heap() {
+    let arch = motivation_validated().expect("fixture validates");
+    let probe = ScenarioProbe::new();
+    let mut dep = deploy(&arch, Mode::Soleil, &registry_with_probe(&probe)).expect("deploys");
+    let head = dep.resolve("ProductionLine").expect("head exists");
+    let monitoring = dep.resolve("MonitoringSystem").expect("monitor exists");
+    dep.reconfigure(|txn| {
+        txn.install_jitter_monitor(head)?;
+        txn.install_jitter_monitor(monitoring)
+    })
+    .expect("membrane-level reconfiguration commits in SOLEIL");
+
+    for _ in 0..WARMUP {
+        dep.run_transaction(head).expect("warmup transaction");
+    }
+    let substrate_before = dep.memory().alloc_count();
+    let heap_before = alloc_probe::allocations();
+    for _ in 0..OBSERVATIONS {
+        dep.run_transaction(head).expect("steady transaction");
+    }
+    let heap_allocs = alloc_probe::allocations() - heap_before;
+    assert_eq!(
+        heap_allocs, 0,
+        "{OBSERVATIONS} monitored transactions performed {heap_allocs} Rust-heap \
+         allocations; a live jitter monitor must not allocate"
+    );
+    assert_eq!(
+        dep.memory().alloc_count(),
+        substrate_before,
+        "substrate allocations must stay pinned at their bootstrap value"
+    );
+    // Both monitors ran on every activation and kept the latest window.
+    for c in [head, monitoring] {
+        assert_eq!(
+            dep.jitter_observations(c)
+                .expect("SOLEIL introspects")
+                .len(),
+            JitterMonitor::WINDOW,
+            "the ring holds exactly its window after a long run"
         );
     }
 }

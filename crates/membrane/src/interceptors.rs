@@ -355,26 +355,68 @@ impl Interceptor for MemoryInterceptor {
 /// time — the "additional functionality" (§3.3) the framework can inject
 /// into a membrane, and the show-piece of *membrane-level* runtime
 /// reconfiguration: SOLEIL-mode systems can install it on a live component.
-#[derive(Debug, Default)]
+///
+/// The gaps land in a ring of [`JitterMonitor::WINDOW`] slots allocated at
+/// construction, so a live monitor never allocates on the activation path:
+/// it keeps the most recent `WINDOW` gaps and counts every activation.
+#[derive(Debug)]
 pub struct JitterMonitor {
     last: Option<std::time::Instant>,
-    gaps_ns: Vec<u64>,
+    ring: Box<[u64]>,
+    /// Ring slot the next gap is written to.
+    next: usize,
+    /// Gaps recorded since construction, retained or overwritten.
+    recorded: u64,
+}
+
+impl Default for JitterMonitor {
+    fn default() -> Self {
+        Self {
+            last: None,
+            ring: vec![0; Self::WINDOW].into_boxed_slice(),
+            next: 0,
+            recorded: 0,
+        }
+    }
 }
 
 impl JitterMonitor {
-    /// Creates an idle monitor.
+    /// Most recent inter-activation gaps a monitor retains.
+    pub const WINDOW: usize = 64;
+
+    /// Creates an idle monitor with its gap ring preallocated.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Observed inter-activation gaps, in nanoseconds.
-    pub fn gaps_ns(&self) -> &[u64] {
-        &self.gaps_ns
+    /// The retained inter-activation gaps in nanoseconds, oldest first:
+    /// every gap until the ring fills, then the latest [`Self::WINDOW`].
+    pub fn gaps_ns(&self) -> impl Iterator<Item = u64> + '_ {
+        let (newer, older) = self.ring.split_at(self.next);
+        let older = if self.recorded >= Self::WINDOW as u64 {
+            older
+        } else {
+            &[]
+        };
+        older.iter().chain(newer).copied()
     }
 
-    /// Number of activations observed (gaps + 1, once started).
+    /// Number of activations observed since construction (gaps + 1, once
+    /// started), including those whose gaps the ring has overwritten.
     pub fn observations(&self) -> usize {
-        self.gaps_ns.len() + usize::from(self.last.is_some())
+        self.recorded as usize + usize::from(self.last.is_some())
+    }
+
+    /// Bytes of the preallocated gap ring (Fig. 7(c) accounting).
+    pub fn footprint_bytes(&self) -> usize {
+        std::mem::size_of_val::<[u64]>(&self.ring)
+    }
+
+    /// Stores one gap, overwriting the oldest once the ring is full.
+    fn record(&mut self, gap_ns: u64) {
+        self.ring[self.next] = gap_ns;
+        self.next = (self.next + 1) % Self::WINDOW;
+        self.recorded += 1;
     }
 }
 
@@ -398,8 +440,7 @@ impl Interceptor for JitterMonitor {
     ) -> Result<(), FrameworkError> {
         let now = std::time::Instant::now();
         if let Some(last) = self.last.replace(now) {
-            self.gaps_ns
-                .push(now.duration_since(last).as_nanos() as u64);
+            self.record(now.duration_since(last).as_nanos() as u64);
         }
         Ok(())
     }
@@ -813,7 +854,7 @@ impl InterceptStep {
                 InterceptStep::Memory(m) => {
                     m.plan().enter_path.capacity() * std::mem::size_of::<AreaId>()
                 }
-                InterceptStep::Jitter(j) => std::mem::size_of_val(j.gaps_ns()),
+                InterceptStep::Jitter(j) => j.footprint_bytes(),
                 InterceptStep::Fault(fi) => fi.component.capacity(),
                 InterceptStep::Dyn(d) => d.footprint_bytes(),
             }
@@ -837,11 +878,29 @@ mod tests {
             jm.post(&mut mm, &mut ctx).unwrap();
         }
         assert_eq!(jm.observations(), 5);
-        assert_eq!(jm.gaps_ns().len(), 4);
+        assert_eq!(jm.gaps_ns().count(), 4);
         // Downcast through the trait object works.
         let boxed: Box<dyn Interceptor> = Box::new(jm);
         assert!(boxed.as_any().downcast_ref::<JitterMonitor>().is_some());
         assert!(boxed.as_any().downcast_ref::<ActiveInterceptor>().is_none());
+    }
+
+    #[test]
+    fn jitter_ring_keeps_the_latest_window_oldest_first() {
+        let mut jm = JitterMonitor::new();
+        let w = JitterMonitor::WINDOW as u64;
+        for gap in 0..w - 1 {
+            jm.record(gap);
+        }
+        assert!(jm.gaps_ns().eq(0..w - 1), "below capacity: every gap");
+        jm.record(w - 1);
+        assert!(jm.gaps_ns().eq(0..w), "exactly full");
+        for gap in w..w + 5 {
+            jm.record(gap);
+        }
+        assert!(jm.gaps_ns().eq(5..w + 5), "wrapped: latest window");
+        assert_eq!(jm.observations(), (w + 5) as usize, "total count");
+        assert_eq!(jm.footprint_bytes(), JitterMonitor::WINDOW * 8);
     }
 
     #[test]

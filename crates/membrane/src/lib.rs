@@ -537,7 +537,7 @@ mod tests {
         let gaps_before = m
             .interceptor("jitter-monitor")
             .and_then(|i| i.as_any().downcast_ref::<JitterMonitor>())
-            .map(|j| j.gaps_ns().len())
+            .map(|j| j.gaps_ns().count())
             .unwrap();
         assert_eq!(gaps_before, 2);
 
@@ -554,7 +554,7 @@ mod tests {
         let gaps_after = m
             .interceptor("jitter-monitor")
             .and_then(|i| i.as_any().downcast_ref::<JitterMonitor>())
-            .map(|j| j.gaps_ns().len())
+            .map(|j| j.gaps_ns().count())
             .unwrap();
         assert_eq!(gaps_after, gaps_before, "monitor state survived the cycle");
     }

@@ -20,8 +20,9 @@
 //! [`footprint`](Deployment::footprint)) that have no sharded meaning.
 //! Each hot-path call pays one token check, a shard/slot index and a
 //! poison check — no name lookups, a property
-//! [`System::name_lookups`] makes checkable. A deployment poisoned by a
-//! panicking [`run_ticks_instrumented`](ParallelSystem::run_ticks_instrumented)
+//! [`name_lookups`](Deployment::name_lookups) makes checkable. A
+//! deployment poisoned by a panicking
+//! [`run_ticks_instrumented`](ParallelSystem::run_ticks_instrumented)
 //! probe refuses its hot path like every other mutator.
 //!
 //! [`run_transaction`]: Deployment::run_transaction
@@ -85,7 +86,7 @@ impl<P: Payload> Deployment<P> {
     ///
     /// # Errors
     ///
-    /// Build errors from [`System::build`], or
+    /// Build errors from [`ParallelSystem::build`], or
     /// [`FrameworkError::Content`] when `arch` does not describe the same
     /// components as `spec` (possible only through `assume_valid`-style
     /// escape hatches).
@@ -172,7 +173,8 @@ impl<P: Payload> Deployment<P> {
     // The one shard's engine
     // -----------------------------------------------------------------
 
-    /// The underlying engine (read-only; escape hatch for experiments).
+    /// The one shard's engine, read-only: [`System`] exposes only its
+    /// substrate, footprint and structural digest.
     pub fn system(&self) -> &System<P> {
         self.engine.shard_system(0)
     }
@@ -192,7 +194,9 @@ impl<P: Payload> Deployment<P> {
         self.system().domain_info()
     }
 
-    /// Name resolutions performed so far (see [`System::name_lookups`]).
+    /// Name resolutions performed so far: [`resolve`](ParallelSystem::resolve)
+    /// and the name-addressed cold paths count; a steady-state loop driven
+    /// through [`ComponentRef`]s keeps this constant.
     pub fn name_lookups(&self) -> u64 {
         self.system().name_lookups()
     }

@@ -8,20 +8,23 @@
 //! component (unbound here), names outside the deployment's intern
 //! universe (string fallback), and protocol mismatches (call on an async
 //! port, send on a sync port), so every cold path is compared too.
+//!
+//! The spec-level property drives bare engines (`System::build` is the
+//! crate-private test constructor), so the suite lives inside the crate.
 
 use std::sync::{Arc, Mutex};
 
+use crate::spec::{
+    Activation, AreaSpec, BindingSpec, BufferPlacement, ComponentSpec, DomainSpec, ProtocolSpec,
+    SystemSpec,
+};
+use crate::{Mode, System};
 use proptest::prelude::*;
 use rtsj::memory::MemoryKind;
 use rtsj::thread::ThreadKind;
 use rtsj::time::RelativeTime;
 use soleil_membrane::content::{Content, ContentRegistry, InternedPort, InvokeResult, Ports};
 use soleil_patterns::PatternKind;
-use soleil_runtime::spec::{
-    Activation, AreaSpec, BindingSpec, BufferPlacement, ComponentSpec, DomainSpec, ProtocolSpec,
-    SystemSpec,
-};
-use soleil_runtime::{Mode, System};
 
 /// Static pool of client-port names: `InternedPort::new` wants
 /// `&'static str`, so the generated architectures draw from a fixed pool.
@@ -321,7 +324,7 @@ fn run_variant(
     let log: Log = Arc::new(Mutex::new(Vec::new()));
     let reg = registry(n_services, script.to_vec(), interned, log.clone());
     let mut sys = System::build(spec, mode, &reg).expect("build");
-    let head = sys.slot_of("hub").expect("hub slot");
+    let head = sys.slot_ix("hub").expect("hub slot");
     for _ in 0..transactions {
         sys.run_transaction(head).expect("scripted hub never fails");
     }
@@ -506,8 +509,8 @@ fn rebind_fixture(
 /// Runs transactions across a live rebind boundary with one dispatch
 /// variant: pre-rebind activations hit `svcA`, then `p0` is rebound to
 /// `svcB` and the same script runs again.
-fn run_rebind_variant(mode: soleil_runtime::Mode, interned: bool) -> Vec<String> {
-    use soleil_runtime::Deployment;
+fn run_rebind_variant(mode: Mode, interned: bool) -> Vec<String> {
+    use crate::Deployment;
     let log: Log = Arc::new(Mutex::new(Vec::new()));
     let (spec, arch, reg) = rebind_fixture(interned, log.clone());
     let mut dep = Deployment::build(&spec, mode, &reg, arch).expect("build");
@@ -531,7 +534,7 @@ fn run_rebind_variant(mode: soleil_runtime::Mode, interned: bool) -> Vec<String>
 /// post-rebind events must actually reach the new server.
 #[test]
 fn interned_dispatch_survives_a_rebind_boundary() {
-    for mode in [soleil_runtime::Mode::Soleil, soleil_runtime::Mode::MergeAll] {
+    for mode in [Mode::Soleil, Mode::MergeAll] {
         let string_events = run_rebind_variant(mode, false);
         let interned_events = run_rebind_variant(mode, true);
         assert_eq!(

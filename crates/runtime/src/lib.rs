@@ -2,8 +2,9 @@
 //!
 //! The generator (see `soleil-generator`) compiles a validated architecture
 //! into a [`spec::SystemSpec`]; this crate turns that spec into a running
-//! [`system::System`] at one of the three optimization levels the paper
-//! evaluates:
+//! [`ParallelSystem`] (a [`Deployment`] is one on a one-shard plan) — the
+//! one public way in — at one of the three optimization levels the paper
+//! evaluates (each shard runs one [`System`], read-only from outside):
 //!
 //! * **SOLEIL** — membranes reified as objects: every invocation runs
 //!   through lifecycle gates, a name-keyed binding controller and a dynamic
@@ -20,7 +21,7 @@
 //! functional code — exactly the overhead Fig. 7 measures.
 //!
 //! For deployments whose thread domains are independent, [`parallel`]
-//! shards the engine by domain — one `System` (and one slab-backed
+//! shards the engine by domain — one [`System`] (and one slab-backed
 //! memory manager) per shard, each ticking on its own OS thread (shard 0
 //! on the caller's, the others on leased workers), with cross-shard
 //! bindings on wait-free SPSC rings. Payloads and content are
@@ -29,8 +30,8 @@
 //! The engine is also a **release engine**: [`timer`] provides a
 //! preallocated binary-heap timer queue over [`rtsj::time::AbsoluteTime`]
 //! (schedule/fire/cancel with generation-checked handles; earliest
-//! deadline first, ties by priority then FIFO), driven by
-//! `System::run_tick` — serially or per parallel shard — so components
+//! deadline first, ties by priority then FIFO), driven by each engine's
+//! tick — serially or per parallel shard — so components
 //! can schedule releases at absolute times. Deployed components can carry
 //! declarative timing contracts (`soleil_core::contract`): an
 //! allocation-free latency/jitter histogram with deadline-miss detection
@@ -39,7 +40,7 @@
 //! surface through the design-time `ValidationReport` machinery.
 //!
 //! Faults are first-class: every component carries a
-//! [`system::FaultPolicy`] (escalate / isolate / supervised restart with
+//! [`FaultPolicy`] (escalate / isolate / supervised restart with
 //! exponential backoff on the timer queue), panics are caught at the
 //! activation boundary and converted into typed `Faulted` errors, and a
 //! deterministic seeded fault injector can be compiled into any
@@ -66,13 +67,15 @@
 #![warn(missing_docs)]
 
 pub mod deploy;
+#[cfg(test)]
+mod dispatch_parity;
 pub mod footprint;
 pub mod instrument;
 mod lease;
 pub mod parallel;
 pub mod sim;
 pub mod spec;
-pub mod system;
+mod system;
 pub mod timer;
 
 pub use deploy::Deployment;
@@ -81,5 +84,5 @@ pub use instrument::LatencySamples;
 pub use parallel::{ComponentRef, ParallelSystem, PortRef, Reconfiguration, ShardRun};
 pub use sim::{run_recovery_campaign, RecoveryEpisode, RecoveryMetrics};
 pub use spec::{Mode, SystemSpec};
-pub use system::{EngineStats, FaultPolicy, System};
+pub use system::{EngineStats, FaultPolicy, MembraneInfo, System, RELEASE_PORT};
 pub use timer::{TimerHandle, TimerQueue};

@@ -36,7 +36,7 @@
 //!    thread spawn and join, and no wake-up for the caller's own shard.
 //!    Dropping the deployment closes the channels and parks its threads
 //!    back in the cache before `drop` returns. Each shard's thread
-//!    releases its periodic heads ([`System::run_tick`]) and drains its
+//!    releases its periodic heads and drains its
 //!    incoming rings (highest consumer priority first) in **batches**:
 //!    each drain pass snapshots a ring's published head once and pops the
 //!    whole visible run against the cached value, amortizing the
@@ -414,8 +414,9 @@ impl<P: Payload> ParallelSystem<P> {
     ///
     /// # Errors
     ///
-    /// Spec inconsistencies ([`FrameworkError::Content`]) and build errors
-    /// from the per-shard [`System::build`]s.
+    /// Spec inconsistencies ([`FrameworkError::Content`]), unknown content
+    /// classes, and substrate errors when a shard's areas cannot be
+    /// created or its budgets overflow.
     pub fn build(
         spec: &SystemSpec,
         mode: Mode,
@@ -728,9 +729,10 @@ impl<P: Payload> ParallelSystem<P> {
         self.locate(component).ok().map(|(shard, _)| shard)
     }
 
-    /// Engine counters of one shard.
-    pub fn shard_stats(&self, shard: usize) -> EngineStats {
-        self.shards[shard].system.stats()
+    /// Engine counters of one shard; `None` for a shard index outside
+    /// `0..shard_count()`.
+    pub fn shard_stats(&self, shard: usize) -> Option<EngineStats> {
+        self.shards.get(shard).map(|s| s.system.stats())
     }
 
     /// Engine counters summed across shards. Cross-ring traffic lands in
@@ -754,14 +756,14 @@ impl<P: Payload> ParallelSystem<P> {
         total
     }
 
-    /// String comparisons performed by port dispatch, summed across
-    /// shards (see [`System::string_compares`]).
+    /// Dispatch resolutions that fell back to a string scan, summed
+    /// across shards; constant across steady-state interned dispatch.
     pub fn string_compares(&self) -> u64 {
         self.shards.iter().map(|s| s.system.string_compares()).sum()
     }
 
-    /// Arc clones performed by port dispatch, summed across shards (see
-    /// [`System::arc_clones`]).
+    /// `Arc` clones performed by port dispatch, summed across shards
+    /// (always 0: a tripwire for the compiled dispatch plan).
     pub fn arc_clones(&self) -> u64 {
         self.shards.iter().map(|s| s.system.arc_clones()).sum()
     }
@@ -796,7 +798,8 @@ impl<P: Payload> ParallelSystem<P> {
     /// Resolves a component name to its token — once, at the cold edge;
     /// hold the [`ComponentRef`] for the hot loop. This is the only
     /// component-addressed call that takes a name; the resolution counts
-    /// against the owning engine's [`System::name_lookups`].
+    /// against the owning engine's name-lookup counter
+    /// ([`Deployment::name_lookups`](crate::Deployment::name_lookups)).
     ///
     /// # Errors
     ///
@@ -935,7 +938,8 @@ impl<P: Payload> ParallelSystem<P> {
 
     /// Inter-activation gaps recorded by a component's jitter monitor
     /// (installed with [`Reconfiguration::install_jitter_monitor`]), in
-    /// nanoseconds; empty when no monitor is installed.
+    /// nanoseconds, oldest first; empty when no monitor is installed. The
+    /// monitor's preallocated ring keeps the latest `JitterMonitor::WINDOW`.
     ///
     /// # Errors
     ///
@@ -947,11 +951,10 @@ impl<P: Payload> ParallelSystem<P> {
 
     /// Schedules an extra release of the periodic component at absolute
     /// engine time `at`, on the timer queue of whichever shard it was
-    /// planned into (see [`System::schedule_release`]). A one-shard
-    /// [`crate::Deployment`] fires it during the first `run_tick` whose
-    /// clock reaches `at`, or an explicit `fire_timers_until`; a sharded
-    /// run fires it inside the shard worker's tick loop. The handle
-    /// cancels it.
+    /// planned into. A one-shard [`crate::Deployment`] fires it during the
+    /// first `run_tick` whose clock reaches `at`, or an explicit
+    /// `fire_timers_until`; a sharded run fires it inside the shard
+    /// worker's tick loop. The handle cancels it.
     ///
     /// # Errors
     ///
@@ -1483,7 +1486,8 @@ impl<P: Payload> ParallelSystem<P> {
         }
     }
 
-    /// Tears every shard down (see [`System::shutdown`]).
+    /// Tears every shard down: stops every component and releases the
+    /// wedge pins of scoped areas.
     ///
     /// # Errors
     ///
@@ -3196,7 +3200,8 @@ mod tests {
             // The producer shard counted its cross sends; consumer shards
             // counted the injected activations as transactions.
             let a = sys.shard_of_domain("A").unwrap();
-            assert_eq!(sys.shard_stats(a).async_messages, 50, "{mode}");
+            assert_eq!(sys.shard_stats(a).unwrap().async_messages, 50, "{mode}");
+            assert_eq!(sys.shard_stats(sys.shard_count()), None, "{mode}");
         }
     }
 

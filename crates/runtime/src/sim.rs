@@ -1,6 +1,6 @@
 //! Virtual-time deployment: a [`SystemSpec`] as a scheduled task set.
 //!
-//! The wall-clock engine ([`crate::system::System`]) measures framework
+//! The wall-clock engine ([`crate::System`]) measures framework
 //! overhead; this module answers the *scheduling* questions — deadline
 //! behaviour, GC interference, end-to-end pipeline latency under load — by
 //! deploying the same spec onto the deterministic

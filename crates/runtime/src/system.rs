@@ -1,13 +1,14 @@
-//! The executable system: bootstrap, invocation engine, reconfiguration.
+//! The per-shard engine: bootstrap, invocation engine, reconfiguration.
 //!
-//! [`System::build`] materializes a [`SystemSpec`] against the RTSJ
-//! substrate following the paper's bootstrapping order — immortal first,
-//! scoped areas created and wedge-pinned parent-before-child, component
-//! state charged to its area, buffers placed per pattern, lifecycle started
-//! last — then [`System::run_transaction`] drives complete end-to-end
-//! iterations exactly like the paper's benchmark scenario: a periodic head
-//! component releases, asynchronous messages activate sporadic consumers in
-//! priority order, synchronous calls nest run-to-completion.
+//! `System::build_with_cross` materializes a [`SystemSpec`] against the
+//! RTSJ substrate following the paper's bootstrapping order — immortal
+//! first, scoped areas created and wedge-pinned parent-before-child,
+//! component state charged to its area, buffers placed per pattern,
+//! lifecycle started last — then `System::run_transaction` drives complete
+//! end-to-end iterations exactly like the paper's benchmark scenario: a
+//! periodic head component releases, asynchronous messages activate
+//! sporadic consumers in priority order, synchronous calls nest
+//! run-to-completion.
 //!
 //! The three generation modes share this engine but walk different code
 //! paths with genuinely different machinery (reified membranes vs. compiled
@@ -473,7 +474,31 @@ pub struct MembraneInfo {
     pub plan_fusion: ChainFusion,
 }
 
-/// A deployed, runnable system. See the [module docs](self).
+/// One shard's execution engine, driven only by a [`Deployment`] or a
+/// [`ParallelSystem`]. Outside code reads it through
+/// [`Deployment::system`] or [`ParallelSystem::shard_system`] and sees
+/// three getters: [`memory`](Self::memory), [`footprint`](Self::footprint)
+/// and [`structural_digest`](Self::structural_digest). It has no public
+/// constructor and no public hot path:
+///
+/// ```compile_fail,E0599
+/// use soleil_membrane::content::ContentRegistry;
+/// use soleil_runtime::{Mode, System, SystemSpec};
+/// fn build(spec: &SystemSpec, registry: &ContentRegistry<u64>) {
+///     let _ = System::build(spec, Mode::Soleil, registry); // no such function
+/// }
+/// ```
+///
+/// ```compile_fail,E0624
+/// fn drive(dep: &soleil_runtime::Deployment<u64>) {
+///     let _ = dep.system().run_transaction(0); // private: use `dep.run_transaction(c)`
+/// }
+/// ```
+///
+/// [`Deployment`]: crate::Deployment
+/// [`Deployment::system`]: crate::Deployment::system
+/// [`ParallelSystem`]: crate::ParallelSystem
+/// [`ParallelSystem::shard_system`]: crate::ParallelSystem::shard_system
 pub struct System<P: Payload> {
     name: String,
     mode: Mode,
@@ -591,15 +616,11 @@ impl<P: Payload> std::fmt::Debug for System<P> {
 }
 
 impl<P: Payload> System<P> {
-    /// Materializes `spec` in the given `mode`, instantiating content
-    /// classes from `registry` (the paper's final composition step).
-    ///
-    /// # Errors
-    ///
-    /// * [`FrameworkError::Content`] for unknown content classes or an
-    ///   inconsistent spec.
-    /// * Substrate errors when areas cannot be created or budgets overflow.
-    pub fn build(
+    /// A standalone engine with no cross-domain outputs: the constructor
+    /// the engine's own unit tests drive directly. Deployments are built
+    /// through [`ParallelSystem`](crate::ParallelSystem).
+    #[cfg(test)]
+    pub(crate) fn build(
         spec: &SystemSpec,
         mode: Mode,
         registry: &ContentRegistry<P>,
@@ -607,11 +628,19 @@ impl<P: Payload> System<P> {
         Self::build_with_cross(spec, mode, registry, Vec::new(), Arc::default())
     }
 
-    /// [`System::build`] plus a set of cross-domain outputs: client ports
-    /// that route into wait-free SPSC rings whose consumers live in other
-    /// thread-domain shards (the parallel runtime's carrier for bindings
-    /// that leave this engine). The shared `in_flight` counter tracks
-    /// messages travelling between shards.
+    /// Materializes `spec` in the given `mode`, instantiating content
+    /// classes from `registry` (the paper's final composition step), plus
+    /// a set of cross-domain outputs: client ports that route into
+    /// wait-free SPSC rings whose consumers live in other thread-domain
+    /// shards (the parallel runtime's carrier for bindings that leave this
+    /// engine). The shared `in_flight` counter tracks messages travelling
+    /// between shards.
+    ///
+    /// # Errors
+    ///
+    /// * [`FrameworkError::Content`] for unknown content classes or an
+    ///   inconsistent spec.
+    /// * Substrate errors when areas cannot be created or budgets overflow.
     pub(crate) fn build_with_cross(
         spec: &SystemSpec,
         mode: Mode,
@@ -1023,18 +1052,8 @@ impl<P: Payload> System<P> {
         Ok(system)
     }
 
-    /// The generation mode this system runs in.
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    /// The system name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Engine counters.
-    pub fn stats(&self) -> EngineStats {
+    pub(crate) fn stats(&self) -> EngineStats {
         self.stats
     }
 
@@ -1045,46 +1064,25 @@ impl<P: Payload> System<P> {
 
     /// Thread-domain roster: name, thread kind and priority of each domain
     /// (introspection; mirrors the ThreadDomain controllers).
-    pub fn domain_info(&self) -> Vec<(String, ThreadKind, Priority)> {
+    pub(crate) fn domain_info(&self) -> Vec<(String, ThreadKind, Priority)> {
         self.domains
             .iter()
             .map(|d| (d.name.clone(), d.kind, d.priority))
             .collect()
     }
 
-    /// The priority ceiling of a shared passive service, when the
-    /// validator assigned one (RTSJ priority-ceiling emulation metadata).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown names.
-    pub fn ceiling_of(&self, name: &str) -> Result<Option<Priority>, FrameworkError> {
-        Ok(self.ceiling_at(self.slot_ix(name)?))
-    }
-
-    /// Slot-indexed [`ceiling_of`](Self::ceiling_of).
+    /// The priority ceiling of a shared passive service in `slot`, when
+    /// the validator assigned one (RTSJ priority-ceiling emulation
+    /// metadata).
     pub(crate) fn ceiling_at(&self, slot: usize) -> Option<Priority> {
         self.nodes[slot].ceiling
     }
 
-    /// Resolves a component name to its engine slot.
-    ///
-    /// Prefer resolving once and holding the slot (or use a
-    /// `Deployment`'s `ComponentRef` tokens): every call scans component
-    /// names and counts against [`name_lookups`](Self::name_lookups).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Content`] for unknown names.
-    pub fn slot_of(&self, name: &str) -> Result<usize, FrameworkError> {
-        self.slot_ix(name)
-    }
-
-    /// Name resolutions performed so far (`slot_of` and the name-based
+    /// Name resolutions performed so far (`slot_ix` and the name-based
     /// driver entry points). Steady-state transaction loops driven through
     /// resolved slots / `ComponentRef`s keep this constant — the property
     /// the hot-path tests assert.
-    pub fn name_lookups(&self) -> u64 {
+    pub(crate) fn name_lookups(&self) -> u64 {
         self.lookups.get()
     }
 
@@ -1093,7 +1091,7 @@ impl<P: Payload> System<P> {
     /// and cold name resolutions in the binding tables. A steady-state
     /// transaction through interned ports keeps this constant — the
     /// property the zero-cost dispatch tests assert in every mode.
-    pub fn string_compares(&self) -> u64 {
+    pub(crate) fn string_compares(&self) -> u64 {
         self.string_compares.get()
     }
 
@@ -1102,7 +1100,7 @@ impl<P: Payload> System<P> {
     /// structurally (a `Copy` header + arena ranges replaced it), so this
     /// is always 0; it stays as a regression tripwire asserted per
     /// steady-state transaction.
-    pub fn arc_clones(&self) -> u64 {
+    pub(crate) fn arc_clones(&self) -> u64 {
         self.arc_clones.get()
     }
 
@@ -1213,7 +1211,7 @@ impl<P: Payload> System<P> {
     /// # Errors
     ///
     /// Any framework or substrate error raised along the way.
-    pub fn run_transaction(&mut self, head: usize) -> Result<(), FrameworkError> {
+    pub(crate) fn run_transaction(&mut self, head: usize) -> Result<(), FrameworkError> {
         // The whole release decision was settled at build time into the
         // per-slot activation plan: a steady-state loop performs no name
         // resolution and no `Option` walk at all.
@@ -1274,7 +1272,7 @@ impl<P: Payload> System<P> {
     /// Slots of every periodic component, highest priority first — the
     /// release order within one tick of the system (a copy of the cached
     /// order; the tick loop itself walks the cache without allocating).
-    pub fn periodic_heads(&self) -> Vec<usize> {
+    pub(crate) fn periodic_heads(&self) -> Vec<usize> {
         self.periodic_order.clone()
     }
 
@@ -1304,7 +1302,7 @@ impl<P: Payload> System<P> {
     /// heads were still waiting for their release, the error names both
     /// the aborting component and every skipped head — an aborted tick
     /// never silently un-releases the rest of the system.
-    pub fn run_tick(&mut self) -> Result<(), FrameworkError> {
+    pub(crate) fn run_tick(&mut self) -> Result<(), FrameworkError> {
         // The release engine rides the tick: advance the virtual clock one
         // quantum and fire whatever came due. With nothing armed this is
         // one add and one length check — periodic-only deployments pay
@@ -2593,7 +2591,7 @@ impl<P: Payload> System<P> {
     /// # Errors
     ///
     /// Substrate errors releasing pins (double shutdown).
-    pub fn shutdown(&mut self) -> Result<(), FrameworkError> {
+    pub(crate) fn shutdown(&mut self) -> Result<(), FrameworkError> {
         for slot in 0..self.nodes.len() {
             if let Some(c) = self.nodes[slot].content.as_mut() {
                 c.on_stop();
@@ -2629,13 +2627,6 @@ impl<P: Payload> System<P> {
     /// # Errors
     ///
     /// [`FrameworkError::Unsupported`] in the merged modes.
-    pub fn membrane_info(&self, component: &str) -> Result<MembraneInfo, FrameworkError> {
-        self.require_soleil("membrane introspection")?;
-        let slot = self.slot_ix(component)?;
-        self.membrane_info_at(slot)
-    }
-
-    /// Slot-indexed membrane introspection (SOLEIL mode only).
     pub(crate) fn membrane_info_at(&self, slot: usize) -> Result<MembraneInfo, FrameworkError> {
         self.require_soleil("membrane introspection")?;
         let m = self.membranes[slot]
@@ -2653,12 +2644,6 @@ impl<P: Payload> System<P> {
             plan_fully_compiled: m.plan().is_fully_compiled(),
             plan_fusion: m.plan().fusion(),
         })
-    }
-
-    /// The reified deployment spec — SOLEIL keeps it alive for
-    /// introspection; merged modes drop it.
-    pub fn reified_spec(&self) -> Option<&SystemSpec> {
-        self.reified_spec.as_ref()
     }
 
     /// Installs a [`JitterMonitor`](soleil_membrane::interceptors::JitterMonitor)
@@ -2727,19 +2712,12 @@ impl<P: Payload> System<P> {
             .remove_interceptor(name))
     }
 
-    /// Inter-activation gaps recorded by a component's jitter monitor, in
-    /// nanoseconds (empty when no monitor is installed).
+    /// Inter-activation gaps retained by the jitter monitor in `slot`, in
+    /// nanoseconds, oldest first (empty when no monitor is installed).
     ///
     /// # Errors
     ///
     /// [`FrameworkError::Unsupported`] in the merged modes.
-    pub fn jitter_observations(&self, component: &str) -> Result<Vec<u64>, FrameworkError> {
-        self.require_soleil("membrane introspection")?;
-        let slot = self.slot_ix(component)?;
-        self.jitter_at(slot)
-    }
-
-    /// Slot-indexed jitter readout (SOLEIL mode only).
     pub(crate) fn jitter_at(&self, slot: usize) -> Result<Vec<u64>, FrameworkError> {
         self.require_soleil("membrane introspection")?;
         let m = self.membranes[slot]
@@ -2750,7 +2728,7 @@ impl<P: Payload> System<P> {
                 i.as_any()
                     .downcast_ref::<soleil_membrane::interceptors::JitterMonitor>()
             })
-            .map(|jm| jm.gaps_ns().to_vec())
+            .map(|jm| jm.gaps_ns().collect())
             .unwrap_or_default())
     }
 
@@ -2760,23 +2738,13 @@ impl<P: Payload> System<P> {
 
     /// The engine's virtual release clock (advanced by `run_tick` /
     /// [`advance_clock_to`](Self::advance_clock_to)).
-    pub fn clock(&self) -> AbsoluteTime {
+    pub(crate) fn clock(&self) -> AbsoluteTime {
         self.clock
     }
 
-    /// The clock advance per `run_tick` (fastest periodic period).
-    pub fn tick_quantum(&self) -> RelativeTime {
-        self.tick_quantum
-    }
-
     /// Currently armed (scheduled, unfired, uncancelled) timers.
-    pub fn armed_timers(&self) -> usize {
+    pub(crate) fn armed_timers(&self) -> usize {
         self.timers.armed()
-    }
-
-    /// Preallocated timer-queue capacity.
-    pub fn timer_capacity(&self) -> usize {
-        self.timers.capacity()
     }
 
     /// Schedules an extra release of the periodic component in `slot` at
@@ -2789,7 +2757,7 @@ impl<P: Payload> System<P> {
     /// [`FrameworkError::Timer`] when the slot is not periodic or the
     /// preallocated queue is full; [`FrameworkError::Content`] for a bad
     /// slot.
-    pub fn schedule_release(
+    pub(crate) fn schedule_release(
         &mut self,
         slot: usize,
         at: AbsoluteTime,
@@ -2810,7 +2778,7 @@ impl<P: Payload> System<P> {
 
     /// Cancels a scheduled release; `false` when the handle is stale
     /// (already fired or cancelled).
-    pub fn cancel_release(&mut self, handle: TimerHandle) -> bool {
+    pub(crate) fn cancel_release(&mut self, handle: TimerHandle) -> bool {
         self.timers.cancel(handle)
     }
 
@@ -2821,7 +2789,7 @@ impl<P: Payload> System<P> {
     /// # Errors
     ///
     /// The first failing fired transaction aborts the advance.
-    pub fn advance_clock_to(&mut self, now: AbsoluteTime) -> Result<u64, FrameworkError> {
+    pub(crate) fn advance_clock_to(&mut self, now: AbsoluteTime) -> Result<u64, FrameworkError> {
         self.clock = self.clock.max(now);
         let before = self.stats.timer_fires;
         self.fire_due_timers()?;
@@ -2926,7 +2894,7 @@ impl<P: Payload> System<P> {
     }
 
     /// Deadline misses observed across every monitored component.
-    pub fn deadline_misses(&self) -> u64 {
+    pub(crate) fn deadline_misses(&self) -> u64 {
         self.monitors
             .iter()
             .flatten()
@@ -2938,7 +2906,7 @@ impl<P: Payload> System<P> {
     /// and folds the verdicts into one report — the runtime counterpart of
     /// design-time validation (violations carry codes SOL-016…SOL-019; a
     /// compliant report means every contract holds).
-    pub fn contract_report(&self) -> ValidationReport {
+    pub(crate) fn contract_report(&self) -> ValidationReport {
         let mut report = ValidationReport::default();
         for (slot, entry) in self.monitors.iter().enumerate() {
             let Some(m) = entry.as_deref() else { continue };
@@ -3612,7 +3580,7 @@ impl<P: Payload> System<P> {
     /// tree. A compliant report means every contract holds and no
     /// component is sick (SOL-022/023 are warnings: history, not
     /// sickness).
-    pub fn health_report(&self) -> ValidationReport {
+    pub(crate) fn health_report(&self) -> ValidationReport {
         let mut report = self.contract_report();
         for (slot, sup) in self.supervisors.iter().enumerate() {
             if sup.quarantined {
@@ -4290,7 +4258,7 @@ mod tests {
     #[test]
     fn transaction_flows_end_to_end_in_all_modes() {
         run_modes(|mode, sys| {
-            let head = sys.slot_of("producer").unwrap();
+            let head = sys.slot_ix("producer").unwrap();
             for _ in 0..5 {
                 sys.run_transaction(head).unwrap();
             }
@@ -4306,7 +4274,7 @@ mod tests {
     fn all_modes_produce_identical_functional_results() {
         // The OO oracle: value = (10 * 2) + 1 = 21 per transaction.
         run_modes(|mode, sys| {
-            let head = sys.slot_of("producer").unwrap();
+            let head = sys.slot_ix("producer").unwrap();
             sys.run_transaction(head).unwrap();
             // The scoped service really ran inside S1 and the sink on the heap:
             // check the substrate saw scope traffic.
@@ -4329,7 +4297,7 @@ mod tests {
             placement: BufferPlacement::Heap,
         };
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let head = sys.slot_of("producer").unwrap();
+        let head = sys.slot_ix("producer").unwrap();
         let err = sys.run_transaction(head).unwrap_err();
         assert!(
             matches!(
@@ -4348,9 +4316,9 @@ mod tests {
             if mode == Mode::UltraMerge {
                 return; // cannot stop components in static mode
             }
-            let middle = sys.slot_of("middle").unwrap();
+            let middle = sys.slot_ix("middle").unwrap();
             sys.stop_at(middle).unwrap();
-            let head = sys.slot_of("producer").unwrap();
+            let head = sys.slot_ix("producer").unwrap();
             // Producer sends to a 10-slot buffer; consumer is stopped so
             // drain fails -> expect lifecycle error surfaced.
             let r = sys.run_transaction(head);
@@ -4361,7 +4329,7 @@ mod tests {
     #[test]
     fn lifecycle_stop_start_roundtrip() {
         run_modes(|mode, sys| {
-            let middle = sys.slot_of("middle").unwrap();
+            let middle = sys.slot_ix("middle").unwrap();
             if mode == Mode::UltraMerge {
                 assert!(matches!(
                     sys.stop_at(middle),
@@ -4371,7 +4339,7 @@ mod tests {
             }
             sys.stop_at(middle).unwrap();
             sys.start_at(middle).unwrap();
-            let head = sys.slot_of("producer").unwrap();
+            let head = sys.slot_ix("producer").unwrap();
             sys.run_transaction(head).unwrap();
         });
     }
@@ -4439,7 +4407,7 @@ mod tests {
             ceiling: None,
         });
         let mut sys = System::build(&spec, Mode::Soleil, &registry()).unwrap();
-        let head = sys.slot_of("producer").unwrap();
+        let head = sys.slot_ix("producer").unwrap();
         for _ in 0..2 {
             sys.run_transaction(head).unwrap();
         }
@@ -4447,8 +4415,8 @@ mod tests {
         assert!(!sys.mem_gates[1].skip_choreography);
         assert_eq!(sys.mem_interceptors[1].as_ref().unwrap().crossings(), 2);
 
-        let middle = sys.slot_of("middle").unwrap();
-        let service2 = sys.slot_of("service2").unwrap();
+        let middle = sys.slot_ix("middle").unwrap();
+        let service2 = sys.slot_ix("service2").unwrap();
         sys.rebind_at(middle, "svc", service2).unwrap();
         assert!(
             sys.mem_gates[1].skip_choreography,
@@ -4469,7 +4437,7 @@ mod tests {
     #[test]
     fn membrane_introspection_soleil_only() {
         run_modes(|mode, sys| {
-            let info = sys.membrane_info("middle");
+            let info = sys.membrane_info_at(sys.slot_ix("middle").unwrap());
             match mode {
                 Mode::Soleil => {
                     let info = info.unwrap();
@@ -4478,11 +4446,11 @@ mod tests {
                         .interceptors
                         .contains(&"active-interceptor".to_string()));
                     assert_eq!(info.bound_ports.len(), 2);
-                    assert!(sys.reified_spec().is_some());
+                    assert!(sys.reified_spec.is_some());
                 }
                 _ => {
                     assert!(matches!(info, Err(FrameworkError::Unsupported(_))));
-                    assert!(sys.reified_spec().is_none());
+                    assert!(sys.reified_spec.is_none());
                 }
             }
         });
@@ -4524,7 +4492,7 @@ mod tests {
         let s1 = sys.memory().area_by_name("S1").unwrap();
         let before = sys.memory().stats(s1).unwrap().consumed;
         assert!(before > 0, "component state charged to its scope");
-        let head = sys.slot_of("producer").unwrap();
+        let head = sys.slot_ix("producer").unwrap();
         sys.run_transaction(head).unwrap();
         sys.run_transaction(head).unwrap();
         assert_eq!(sys.memory().stats(s1).unwrap().consumed, before);
@@ -4546,10 +4514,10 @@ mod tests {
                 ceiling: None,
             });
             let mut sys = System::build(&spec, mode, &registry()).unwrap();
-            let middle = sys.slot_of("middle").unwrap();
-            let service2 = sys.slot_of("service2").unwrap();
+            let middle = sys.slot_ix("middle").unwrap();
+            let service2 = sys.slot_ix("service2").unwrap();
             sys.rebind_at(middle, "svc", service2).unwrap();
-            let head = sys.slot_of("producer").unwrap();
+            let head = sys.slot_ix("producer").unwrap();
             sys.run_transaction(head).unwrap();
             // S1 (old service's scope) should see no new traffic; the
             // transaction still completes.
@@ -4561,8 +4529,8 @@ mod tests {
     fn ultra_merge_rejects_reconfiguration() {
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::UltraMerge, &registry()).unwrap();
-        let middle = sys.slot_of("middle").unwrap();
-        let service = sys.slot_of("service").unwrap();
+        let middle = sys.slot_ix("middle").unwrap();
+        let service = sys.slot_ix("service").unwrap();
         assert!(matches!(
             sys.rebind_at(middle, "svc", service),
             Err(FrameworkError::Unsupported(_))
@@ -4573,21 +4541,21 @@ mod tests {
     fn jitter_monitor_installs_at_runtime_in_soleil_only() {
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::Soleil, &registry()).unwrap();
-        let head = sys.slot_of("producer").unwrap();
+        let head = sys.slot_ix("producer").unwrap();
         sys.run_transaction(head).unwrap();
 
         // Install on a live component (membrane-level reconfiguration).
-        let middle = sys.slot_of("middle").unwrap();
+        let middle = sys.slot_ix("middle").unwrap();
         sys.enable_jitter_at(middle).unwrap();
         assert!(sys
-            .membrane_info("middle")
+            .membrane_info_at(middle)
             .unwrap()
             .interceptors
             .contains(&"jitter-monitor".to_string()));
         for _ in 0..5 {
             sys.run_transaction(head).unwrap();
         }
-        let gaps = sys.jitter_observations("middle").unwrap();
+        let gaps = sys.jitter_at(middle).unwrap();
         assert_eq!(gaps.len(), 4, "5 monitored activations -> 4 gaps");
         assert!(sys.remove_interceptor_at(middle, "jitter-monitor").unwrap());
         assert!(!sys.remove_interceptor_at(middle, "jitter-monitor").unwrap());
@@ -4604,11 +4572,11 @@ mod tests {
     fn unknown_names_reported() {
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        assert!(sys.slot_of("ghost").is_err());
+        assert!(sys.slot_ix("ghost").is_err());
         assert!(sys.run_transaction(99).is_err());
         // Running a transaction from a non-periodic component fails, and
         // unknown ports are refused at resolution time.
-        let middle = sys.slot_of("middle").unwrap();
+        let middle = sys.slot_ix("middle").unwrap();
         assert!(sys.run_transaction(middle).is_err());
         assert!(sys.port_ix_of(middle, "no-such-port").is_err());
     }
@@ -4621,7 +4589,7 @@ mod tests {
             hops: vec![],
             value: 5,
         };
-        let middle = sys.slot_of("middle").unwrap();
+        let middle = sys.slot_ix("middle").unwrap();
         let port_ix = sys.port_ix_of(middle, "in").unwrap();
         sys.inject_at(middle, port_ix, token).unwrap();
         let st = sys.stats();
@@ -4802,7 +4770,7 @@ mod tests {
         };
         for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
             let mut sys = System::build(&spec, mode, &registry()).unwrap();
-            let head = sys.slot_of("producer").unwrap();
+            let head = sys.slot_ix("producer").unwrap();
             for _ in 0..3 {
                 sys.run_transaction(head).unwrap();
             }
@@ -4826,7 +4794,7 @@ mod tests {
         assert_eq!(stats.consumed, 0, "pin release reclaims the scope");
         assert_eq!(stats.reclaim_count, 1);
         // Components are stopped.
-        let head = sys.slot_of("producer").unwrap();
+        let head = sys.slot_ix("producer").unwrap();
         assert!(sys.run_transaction(head).is_err());
         // Double shutdown surfaces the substrate error.
         assert!(sys.shutdown().is_ok(), "no pins left; idempotent");
@@ -4851,7 +4819,7 @@ mod tests {
         // port) but is not bound on the middle slot.
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let middle = sys.slot_of("middle").unwrap();
+        let middle = sys.slot_ix("middle").unwrap();
         let id = sys.intern_port("out").unwrap();
         let mut ctx = sys.mm.context(ThreadKind::Realtime);
         let mut ports = CompiledPorts {
@@ -4882,7 +4850,7 @@ mod tests {
         // SOLEIL's reified membrane: same contract through the jump table.
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::Soleil, &registry()).unwrap();
-        let middle = sys.slot_of("middle").unwrap();
+        let middle = sys.slot_ix("middle").unwrap();
         let id = sys.intern_port("out").unwrap();
         let mut membrane = sys.membranes[middle].take().unwrap();
         let mut ctx = sys.mm.context(ThreadKind::Realtime);
@@ -4928,9 +4896,9 @@ mod tests {
             ceiling: None,
         });
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let middle = sys.slot_of("middle").unwrap();
-        let service = sys.slot_of("service").unwrap();
-        let service2 = sys.slot_of("service2").unwrap();
+        let middle = sys.slot_ix("middle").unwrap();
+        let service = sys.slot_ix("service").unwrap();
+        let service2 = sys.slot_ix("service2").unwrap();
         let svc_header = |sys: &System<Token>| {
             sys.compiled[middle]
                 .iter()
@@ -5027,7 +4995,7 @@ mod tests {
         for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
             let spec = pipeline_spec();
             let mut sys = System::build(&spec, mode, &interned_registry()).unwrap();
-            let head = sys.slot_of("producer").unwrap();
+            let head = sys.slot_ix("producer").unwrap();
             // Warm-up: each InternedPort pays its one-time name scan here.
             sys.run_transaction(head).unwrap();
             let (sc, ac) = (sys.string_compares(), sys.arc_clones());
@@ -5056,8 +5024,8 @@ mod tests {
         run_modes(|mode, sys| {
             // The pipeline's fastest period is 10 ms, so each tick advances
             // the virtual clock by 10 ms.
-            assert_eq!(sys.tick_quantum(), RelativeTime::from_millis(10), "{mode}");
-            let head = sys.slot_of("producer").unwrap();
+            assert_eq!(sys.tick_quantum, RelativeTime::from_millis(10), "{mode}");
+            let head = sys.slot_ix("producer").unwrap();
             sys.schedule_release(head, AbsoluteTime::from_millis(15))
                 .unwrap();
             assert_eq!(sys.armed_timers(), 1, "{mode}");
@@ -5084,7 +5052,7 @@ mod tests {
     #[test]
     fn cancelled_releases_never_fire() {
         run_modes(|mode, sys| {
-            let head = sys.slot_of("producer").unwrap();
+            let head = sys.slot_ix("producer").unwrap();
             let h = sys
                 .schedule_release(head, AbsoluteTime::from_millis(5))
                 .unwrap();
@@ -5098,7 +5066,7 @@ mod tests {
     #[test]
     fn schedule_release_refuses_non_periodic_heads() {
         run_modes(|mode, sys| {
-            let middle = sys.slot_of("middle").unwrap();
+            let middle = sys.slot_ix("middle").unwrap();
             let err = sys
                 .schedule_release(middle, AbsoluteTime::from_millis(1))
                 .unwrap_err();
@@ -5110,7 +5078,7 @@ mod tests {
     fn advance_clock_fires_everything_due() {
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let head = sys.slot_of("producer").unwrap();
+        let head = sys.slot_ix("producer").unwrap();
         sys.schedule_release(head, AbsoluteTime::from_micros(100))
             .unwrap();
         sys.schedule_release(head, AbsoluteTime::from_micros(200))
@@ -5129,7 +5097,7 @@ mod tests {
     #[test]
     fn contracts_observe_and_stay_compliant_in_every_mode() {
         run_modes(|mode, sys| {
-            let head = sys.slot_of("producer").unwrap();
+            let head = sys.slot_ix("producer").unwrap();
             // A generous contract no in-process pipeline can violate.
             let contract = TimingContract::new()
                 .with_deadline(RelativeTime::from_millis(500))
@@ -5151,7 +5119,7 @@ mod tests {
     #[test]
     fn impossible_deadline_is_missed_and_reported() {
         run_modes(|mode, sys| {
-            let head = sys.slot_of("producer").unwrap();
+            let head = sys.slot_ix("producer").unwrap();
             // A zero-nanosecond deadline: every activation misses.
             let contract = TimingContract::new().with_deadline(RelativeTime::from_nanos(0));
             sys.attach_contract_at(head, contract).unwrap();
@@ -5169,7 +5137,7 @@ mod tests {
     fn detach_discards_and_reattach_replaces() {
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let head = sys.slot_of("producer").unwrap();
+        let head = sys.slot_ix("producer").unwrap();
         sys.attach_contract_at(
             head,
             TimingContract::new().with_deadline(RelativeTime::from_nanos(0)),
@@ -5201,7 +5169,7 @@ mod tests {
     fn faulty_middle(mode: Mode, policy: FaultPolicy) -> System<Token> {
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, mode, &registry()).unwrap();
-        let middle = sys.slot_of("middle").unwrap();
+        let middle = sys.slot_ix("middle").unwrap();
         sys.set_fault_policy_at(middle, policy).unwrap();
         sys.install_fault_injector_at(
             middle,
@@ -5214,12 +5182,12 @@ mod tests {
     #[test]
     fn escalate_is_the_default_and_propagates_typed_faults() {
         run_modes(|mode, sys| {
-            let middle = sys.slot_of("middle").unwrap();
+            let middle = sys.slot_ix("middle").unwrap();
             assert_eq!(sys.fault_policy_at(middle), FaultPolicy::Escalate, "{mode}");
         });
         for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
             let mut sys = faulty_middle(mode, FaultPolicy::Escalate);
-            let head = sys.slot_of("producer").unwrap();
+            let head = sys.slot_ix("producer").unwrap();
             let err = sys.run_transaction(head).unwrap_err();
             assert_eq!(
                 err.to_string(),
@@ -5228,7 +5196,7 @@ mod tests {
             );
             // Escalate never quarantines: the component stays schedulable.
             assert!(
-                !sys.quarantined_at(sys.slot_of("middle").unwrap()),
+                !sys.quarantined_at(sys.slot_ix("middle").unwrap()),
                 "{mode}"
             );
         }
@@ -5238,8 +5206,8 @@ mod tests {
     fn isolate_quarantines_and_count_drops_in_every_mode() {
         for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
             let mut sys = faulty_middle(mode, FaultPolicy::Isolate);
-            let head = sys.slot_of("producer").unwrap();
-            let middle = sys.slot_of("middle").unwrap();
+            let head = sys.slot_ix("producer").unwrap();
+            let middle = sys.slot_ix("middle").unwrap();
             // Every transaction keeps succeeding at the system level.
             for _ in 0..6 {
                 sys.run_transaction(head).unwrap();
@@ -5281,7 +5249,7 @@ mod tests {
         let run = |seed: u64| {
             let spec = pipeline_spec();
             let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-            let middle = sys.slot_of("middle").unwrap();
+            let middle = sys.slot_ix("middle").unwrap();
             sys.set_fault_policy_at(middle, FaultPolicy::Isolate)
                 .unwrap();
             sys.install_fault_injector_at(
@@ -5289,7 +5257,7 @@ mod tests {
                 FaultInjector::new("middle", seed, 4).with_menu(FaultInjector::MENU_ERROR),
             )
             .unwrap();
-            let head = sys.slot_of("producer").unwrap();
+            let head = sys.slot_ix("producer").unwrap();
             for _ in 0..20 {
                 sys.run_transaction(head).unwrap();
             }
@@ -5310,13 +5278,13 @@ mod tests {
         for mode in [Mode::Soleil, Mode::MergeAll, Mode::UltraMerge] {
             let spec = pipeline_spec();
             let mut sys = System::build(&spec, mode, &registry()).unwrap();
-            let middle = sys.slot_of("middle").unwrap();
+            let middle = sys.slot_ix("middle").unwrap();
             sys.install_fault_injector_at(
                 middle,
                 FaultInjector::new("middle", 9, 1).with_menu(FaultInjector::MENU_PANIC),
             )
             .unwrap();
-            let head = sys.slot_of("producer").unwrap();
+            let head = sys.slot_ix("producer").unwrap();
             // Escalate: the panic arrives as a *typed* error, not an unwind.
             let err = sys.run_transaction(head).unwrap_err();
             let FrameworkError::Faulted {
@@ -5337,7 +5305,7 @@ mod tests {
     fn caught_panic_poisons_the_membrane_until_restart() {
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::Soleil, &registry()).unwrap();
-        let middle = sys.slot_of("middle").unwrap();
+        let middle = sys.slot_ix("middle").unwrap();
         sys.set_fault_policy_at(middle, FaultPolicy::Isolate)
             .unwrap();
         sys.install_fault_injector_at(
@@ -5345,7 +5313,7 @@ mod tests {
             FaultInjector::new("middle", 9, 1).with_menu(FaultInjector::MENU_PANIC),
         )
         .unwrap();
-        let head = sys.slot_of("producer").unwrap();
+        let head = sys.slot_ix("producer").unwrap();
         sys.run_transaction(head).unwrap();
         assert!(sys.quarantined_at(middle));
         let m = sys.membranes[middle].as_ref().unwrap();
@@ -5362,7 +5330,7 @@ mod tests {
     fn restart_policy_rearms_through_the_timer_queue_until_budget_exhausts() {
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let producer = sys.slot_of("producer").unwrap();
+        let producer = sys.slot_ix("producer").unwrap();
         sys.set_fault_policy_at(
             producer,
             FaultPolicy::Restart {
@@ -5428,7 +5396,7 @@ mod tests {
     fn stop_disarms_a_pending_supervised_restart() {
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let producer = sys.slot_of("producer").unwrap();
+        let producer = sys.slot_ix("producer").unwrap();
         sys.set_fault_policy_at(
             producer,
             FaultPolicy::Restart {
@@ -5466,7 +5434,7 @@ mod tests {
     fn policy_change_disarms_the_previous_policys_restart() {
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let producer = sys.slot_of("producer").unwrap();
+        let producer = sys.slot_ix("producer").unwrap();
         let restart = FaultPolicy::Restart {
             max_restarts: 3,
             window: RelativeTime::from_millis(3_600_000),
@@ -5520,7 +5488,7 @@ mod tests {
             ceiling: None,
         });
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let producer = sys.slot_of("producer").unwrap();
+        let producer = sys.slot_ix("producer").unwrap();
         sys.install_fault_injector_at(
             producer,
             FaultInjector::new("producer", 5, 1).with_menu(FaultInjector::MENU_ERROR),
@@ -5552,9 +5520,9 @@ mod tests {
     fn supervisor_edges_refuse_self_supervision_and_cycles() {
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let producer = sys.slot_of("producer").unwrap();
-        let middle = sys.slot_of("middle").unwrap();
-        let sink = sys.slot_of("sink").unwrap();
+        let producer = sys.slot_ix("producer").unwrap();
+        let middle = sys.slot_ix("middle").unwrap();
+        let sink = sys.slot_ix("sink").unwrap();
 
         let err = sys.set_supervisor_at(producer, Some(producer)).unwrap_err();
         assert!(err.to_string().contains("cannot supervise itself"), "{err}");
@@ -5575,9 +5543,9 @@ mod tests {
     fn escalation_walks_the_tree_and_restarts_the_failed_subtree_as_a_unit() {
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let producer = sys.slot_of("producer").unwrap();
-        let middle = sys.slot_of("middle").unwrap();
-        let sink = sys.slot_of("sink").unwrap();
+        let producer = sys.slot_ix("producer").unwrap();
+        let middle = sys.slot_ix("middle").unwrap();
+        let sink = sys.slot_ix("sink").unwrap();
         // Tree: producer → middle → sink; only the root supervisor has a
         // containing policy.
         sys.set_supervisor_at(producer, Some(middle)).unwrap();
@@ -5645,9 +5613,9 @@ mod tests {
     fn isolate_handler_contains_only_the_failed_branch() {
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let producer = sys.slot_of("producer").unwrap();
-        let middle = sys.slot_of("middle").unwrap();
-        let sink = sys.slot_of("sink").unwrap();
+        let producer = sys.slot_ix("producer").unwrap();
+        let middle = sys.slot_ix("middle").unwrap();
+        let sink = sys.slot_ix("sink").unwrap();
         // Two branches under one Isolate supervisor.
         sys.set_supervisor_at(producer, Some(sink)).unwrap();
         sys.set_supervisor_at(middle, Some(sink)).unwrap();
@@ -5678,8 +5646,8 @@ mod tests {
     fn root_escalation_aborts_exactly_like_the_flat_semantics() {
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let producer = sys.slot_of("producer").unwrap();
-        let middle = sys.slot_of("middle").unwrap();
+        let producer = sys.slot_ix("producer").unwrap();
+        let middle = sys.slot_ix("middle").unwrap();
         // producer → middle, but middle also escalates and has no
         // supervisor: the walk runs off the root and the fault aborts.
         sys.set_supervisor_at(producer, Some(middle)).unwrap();
@@ -5779,7 +5747,7 @@ mod tests {
             })
         });
         let mut sys = System::build(&counter_spec(), Mode::MergeAll, &r).unwrap();
-        let counter = sys.slot_of("counter").unwrap();
+        let counter = sys.slot_ix("counter").unwrap();
         sys.set_fault_policy_at(
             counter,
             FaultPolicy::Restart {
@@ -5891,7 +5859,7 @@ mod tests {
         // The pipeline's stock contents do not implement `checkpoint`.
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let middle = sys.slot_of("middle").unwrap();
+        let middle = sys.slot_ix("middle").unwrap();
         let err = sys.enable_checkpoint_at(middle, 1).unwrap_err();
         assert!(err.to_string().contains("Checkpoint capability"), "{err}");
         assert!(!sys.checkpoint_enabled_at(middle));
@@ -5905,7 +5873,7 @@ mod tests {
     fn virtual_clock_spikes_advance_virtual_time_without_wall_waiting() {
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
-        let producer = sys.slot_of("producer").unwrap();
+        let producer = sys.slot_ix("producer").unwrap();
         // A full second of injected latency per activation: busy-waiting
         // this 10 times would stall the test for ~10 s of wall time.
         sys.install_fault_injector_at(
@@ -5937,8 +5905,8 @@ mod tests {
         let spec = pipeline_spec();
         let mut sys = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
         let before = sys.structural_digest();
-        let producer = sys.slot_of("producer").unwrap();
-        let middle = sys.slot_of("middle").unwrap();
+        let producer = sys.slot_ix("producer").unwrap();
+        let middle = sys.slot_ix("middle").unwrap();
         sys.set_supervisor_at(producer, Some(middle)).unwrap();
         assert_ne!(
             before,

@@ -96,9 +96,12 @@
 //!
 //! | Removed | Replacement |
 //! |---|---|
-//! | `generate_unvalidated(&arch, …)` | `arch.into_validated()?` then [`deploy`]/[`generator::generate`] |
+//! | `generate_unvalidated(&arch, …)` | `arch.into_validated()?` then [`deploy`] |
+//! | `generate(&arch, mode, &registry)` → bare `System` | [`deploy`] (serial) or [`deploy_parallel`] (sharded) |
 //! | `compile_unvalidated(&arch)` | `arch.into_validated()?` then `compile(&validated)` |
 //! | `system.slot_of("name")` per call | [`ParallelSystem::resolve`](runtime::ParallelSystem::resolve) once → `ComponentRef` |
+//! | `dep.system().slot_of` / `ceiling_of` / `membrane_info` / `jitter_observations("name")` | `resolve("name")?` once, then `ceiling_of` / `membrane_info` / `jitter_observations` on the deployment with the `ComponentRef` |
+//! | `dep.system().reified_spec()` | [`ParallelSystem::architecture`](runtime::ParallelSystem::architecture) (the live model) |
 //! | `system.inject("name", "port", msg)` | [`Deployment::inject`](runtime::Deployment::inject) with a pre-resolved `PortRef` |
 //! | `system.stop(…)` / `rebind(…)` / `start(…)` | [`ParallelSystem::reconfigure`](runtime::ParallelSystem::reconfigure) transaction |
 //! | name-addressed `ParallelSystem` controls (`set_fault_policy("name", …)`, `attach_contract`, `schedule_release`, `set_supervisor`, …) | `resolve("name")?` once, then the same call with the `ComponentRef`; `set_supervisor`/`supervisor_of` return `ComponentRef`s |
@@ -108,7 +111,9 @@
 //!
 //! A [`Deployment`](runtime::Deployment) dereferences to
 //! [`ParallelSystem`](runtime::ParallelSystem): serial and sharded
-//! deployments share one control plane.
+//! deployments share one control plane. The per-shard engine behind both,
+//! [`runtime::System`], is read-only from outside: `memory()`,
+//! `footprint()` and `structural_digest()`.
 //!
 //! The crates underneath (also usable standalone): [`rtsj`] (substrate),
 //! [`core`] (metamodel/ADL/validator), [`patterns`] (cross-scope patterns),
@@ -132,17 +137,16 @@ pub mod scenario;
 /// The most commonly used items across all layers.
 pub mod prelude {
     pub use crate::core::prelude::*;
-    pub use crate::generator::{compile, deploy, deploy_parallel, emit_source, generate};
+    pub use crate::generator::{compile, deploy, deploy_parallel, emit_source};
     pub use crate::membrane::content::{Content, ContentRegistry, InvokeResult, Ports, StateImage};
     pub use crate::membrane::interceptors::FaultInjector;
     pub use crate::membrane::monitor::{LatencyMonitor, LatencySnapshot};
     pub use crate::membrane::{FaultKind, FrameworkError};
     pub use crate::runtime::instrument::measure_steady;
-    pub use crate::runtime::system::RELEASE_PORT;
     pub use crate::runtime::{
         run_recovery_campaign, ComponentRef, Deployment, EngineStats, FaultPolicy, FootprintReport,
         Mode, ParallelSystem, PortRef, Reconfiguration, RecoveryEpisode, RecoveryMetrics, ShardRun,
-        System, SystemSpec, TimerHandle, TimerQueue,
+        SystemSpec, TimerHandle, TimerQueue, RELEASE_PORT,
     };
     pub use crate::{SoleilError, SoleilResult};
     pub use rtsj::time::{AbsoluteTime, RelativeTime};

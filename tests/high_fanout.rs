@@ -343,7 +343,7 @@ fn high_fanout_ticks_conserve_messages_across_threads() {
         // injections; activations = head + workers + entry per tick.
         for dd in 0..DOMAINS {
             let shard = sys.shard_of_domain(&format!("D{dd}")).unwrap();
-            let st = sys.shard_stats(shard);
+            let st = sys.shard_stats(shard).expect("planned shard");
             assert_eq!(st.transactions, 2 * n, "{mode} D{dd}: ticks + injections");
             assert_eq!(st.activations, n * (w + 2), "{mode} D{dd}");
         }
