@@ -40,6 +40,26 @@ pub struct Architecture {
     by_name: HashMap<String, ComponentId>,
 }
 
+/// What an in-place edit of an [`Architecture`] overwrote, owned so that
+/// [`Architecture::restore`] puts it back with a move: the binding row at
+/// its position, or the containment lists an edge move rewrote.
+#[derive(Debug)]
+pub struct ArchImage(Image);
+
+#[derive(Debug)]
+enum Image {
+    Binding {
+        index: usize,
+        binding: Binding,
+    },
+    Containment {
+        child: ComponentId,
+        parents: Vec<ComponentId>,
+        /// `(composite, its children)` for each end of the moved edge.
+        children: Vec<(ComponentId, Vec<ComponentId>)>,
+    },
+}
+
 impl Architecture {
     /// Creates an empty architecture.
     pub fn new(name: impl Into<String>) -> Self {
@@ -173,9 +193,7 @@ impl Architecture {
     }
 
     /// Removes the containment edge `parent -> child`; returns whether the
-    /// edge existed (parity with [`unbind`](Self::unbind), so callers —
-    /// e.g. the transactional-reconfiguration rollback — can detect a
-    /// hierarchy that diverged from their expectations).
+    /// edge existed (parity with [`unbind`](Self::unbind)).
     pub fn remove_child(&mut self, parent: ComponentId, child: ComponentId) -> bool {
         let mut removed = false;
         if let Some(v) = self.children.get_mut(parent.0 as usize) {
@@ -205,6 +223,21 @@ impl Architecture {
         server_if: &str,
         protocol: Protocol,
     ) -> Result<()> {
+        let binding = self.checked_binding(client, client_if, server, server_if, protocol)?;
+        self.bindings.push(binding);
+        Ok(())
+    }
+
+    /// The binding `bind` would add, after its endpoint, role and
+    /// signature checks.
+    fn checked_binding(
+        &self,
+        client: ComponentId,
+        client_if: &str,
+        server: ComponentId,
+        server_if: &str,
+        protocol: Protocol,
+    ) -> Result<Binding> {
         let (c, s) = (self.component(client)?, self.component(server)?);
         let ci = c
             .interface(client_if)
@@ -239,7 +272,7 @@ impl Architecture {
                 ),
             });
         }
-        self.bindings.push(Binding {
+        Ok(Binding {
             client: Endpoint {
                 component: client,
                 interface: client_if.to_string(),
@@ -249,8 +282,7 @@ impl Architecture {
                 interface: server_if.to_string(),
             },
             protocol,
-        });
-        Ok(())
+        })
     }
 
     /// Removes a binding by exact endpoints; returns whether one was removed.
@@ -259,6 +291,120 @@ impl Architecture {
         self.bindings
             .retain(|b| !(b.client.component == client && b.client.interface == client_if));
         self.bindings.len() != before
+    }
+
+    // -----------------------------------------------------------------
+    // In-place edits with owned pre-images
+    // -----------------------------------------------------------------
+
+    /// Points the existing binding of `client.client_if` at `server`'s
+    /// interface of the same name as the old target's, keeping the
+    /// protocol and the binding's position in [`bindings`](Self::bindings).
+    /// Returns what it overwrote, for [`restore`](Self::restore).
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::KindMismatch`] when the client interface is unbound,
+    /// and every error of [`bind`](Self::bind) for the new endpoint.
+    pub fn rebind(
+        &mut self,
+        client: ComponentId,
+        client_if: &str,
+        server: ComponentId,
+    ) -> Result<ArchImage> {
+        let index = self
+            .bindings
+            .iter()
+            .position(|b| b.client.component == client && b.client.interface == client_if)
+            .ok_or_else(|| ModelError::KindMismatch {
+                component: self
+                    .component(client)
+                    .map_or_else(|_| format!("{client}"), |c| c.name.clone()),
+                detail: format!("client interface '{client_if}' is unbound"),
+            })?;
+        let old = &self.bindings[index];
+        let binding = self.checked_binding(
+            client,
+            client_if,
+            server,
+            &old.server.interface,
+            old.protocol,
+        )?;
+        let binding = std::mem::replace(&mut self.bindings[index], binding);
+        Ok(ArchImage(Image::Binding { index, binding }))
+    }
+
+    /// Moves `child`'s containment edge from the composite `from` (none:
+    /// the child had no such parent) to `to`. The new edge is appended, as
+    /// [`add_child`](Self::add_child) does. Returns what it overwrote, for
+    /// [`restore`](Self::restore).
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::KindMismatch`] when `child` is not a direct
+    /// sub-component of `from`, and every error of `add_child` for the new
+    /// edge (the model is then unchanged).
+    pub fn move_child(
+        &mut self,
+        child: ComponentId,
+        from: Option<ComponentId>,
+        to: ComponentId,
+    ) -> Result<ArchImage> {
+        let name = self.component(child)?.name.clone();
+        let mut children = Vec::with_capacity(2);
+        for parent in from.into_iter().chain([to]) {
+            self.component(parent)?;
+            children.push((parent, self.children[parent.0 as usize].clone()));
+        }
+        let image = ArchImage(Image::Containment {
+            child,
+            parents: self.parents[child.0 as usize].clone(),
+            children,
+        });
+        if let Some(from) = from {
+            if !self.remove_child(from, child) {
+                return Err(ModelError::KindMismatch {
+                    component: name,
+                    detail: format!(
+                        "only an indirect member of '{}'; moving it needs a direct edge",
+                        self.components[from.0 as usize].name
+                    ),
+                });
+            }
+        }
+        if let Err(e) = self.add_child(to, child) {
+            self.restore(image);
+            return Err(e);
+        }
+        Ok(image)
+    }
+
+    /// Puts back what [`rebind`](Self::rebind) or
+    /// [`move_child`](Self::move_child) overwrote: the binding at its
+    /// original position, the containment lists in their original order.
+    /// A move with no error path — the undo of a reconfiguration journal.
+    pub fn restore(&mut self, image: ArchImage) {
+        match image.0 {
+            Image::Binding { index, binding } => {
+                if let Some(slot) = self.bindings.get_mut(index) {
+                    *slot = binding;
+                }
+            }
+            Image::Containment {
+                child,
+                parents,
+                children,
+            } => {
+                if let Some(slot) = self.parents.get_mut(child.0 as usize) {
+                    *slot = parents;
+                }
+                for (parent, list) in children {
+                    if let Some(slot) = self.children.get_mut(parent.0 as usize) {
+                        *slot = list;
+                    }
+                }
+            }
+        }
     }
 
     // -----------------------------------------------------------------
@@ -989,6 +1135,50 @@ mod tests {
         assert!(a.unbind(p, "out"));
         assert!(!a.unbind(p, "out"));
         assert!(a.bindings().is_empty());
+    }
+
+    #[test]
+    fn in_place_edits_restore_at_their_original_positions() {
+        let (mut a, comp, domain, area) = arch_with_sharing();
+        let q = a.add_component("q", ComponentKind::Passive).unwrap();
+        let r = a.add_component("r", ComponentKind::Passive).unwrap();
+        a.add_interface(comp, "out", Role::Client, "I").unwrap();
+        a.add_interface(comp, "log", Role::Client, "I").unwrap();
+        a.add_interface(q, "in", Role::Server, "I").unwrap();
+        a.add_interface(r, "in", Role::Server, "I").unwrap();
+        a.bind(comp, "out", q, "in", Protocol::Synchronous).unwrap();
+        a.bind(comp, "log", q, "in", Protocol::Synchronous).unwrap();
+        a.add_child(area, comp).unwrap();
+        let before = format!("{a:?}");
+
+        // The rebind replaces the row in place; restore puts it back.
+        let image = a.rebind(comp, "out", r).unwrap();
+        assert_eq!(a.bindings()[0].server.component, r);
+        a.restore(image);
+        assert_eq!(format!("{a:?}"), before);
+
+        // The edge move appends; restore puts every list back in order.
+        let other = a
+            .add_component(
+                "rt",
+                ComponentKind::ThreadDomain(ThreadDomainDesc {
+                    kind: ThreadKind::Realtime,
+                    priority: 20,
+                }),
+            )
+            .unwrap();
+        let before = format!("{a:?}");
+        let image = a.move_child(comp, Some(domain), other).unwrap();
+        assert_eq!(a.parents_of(comp), &[area, other]);
+        a.restore(image);
+        assert_eq!(format!("{a:?}"), before);
+        assert_eq!(a.parents_of(comp), &[domain, area]);
+
+        // Refusals leave the model untouched.
+        assert!(a.rebind(comp, "ghost", r).is_err());
+        assert!(a.move_child(comp, Some(other), domain).is_err());
+        assert!(a.move_child(domain, None, comp).is_err());
+        assert_eq!(format!("{a:?}"), before);
     }
 
     #[test]

@@ -185,15 +185,23 @@ impl BindingController {
         Self::default()
     }
 
-    /// Installs (or replaces) the binding for `client_port`.
-    pub fn bind(&mut self, client_port: impl Into<String>, target: BindingTarget) {
+    /// Installs (or replaces, in place) the binding for `client_port`;
+    /// returns the target it replaced.
+    pub fn bind(
+        &mut self,
+        client_port: impl Into<String>,
+        target: BindingTarget,
+    ) -> Option<BindingTarget> {
         let name: Box<str> = client_port.into().into();
         match self.table.iter_mut().find(|(k, _)| *k == name) {
             Some(entry) => {
-                entry.1 = target;
                 self.rebinds += 1;
+                Some(std::mem::replace(&mut entry.1, target))
             }
-            None => self.table.push((name, target)),
+            None => {
+                self.table.push((name, target));
+                None
+            }
         }
     }
 

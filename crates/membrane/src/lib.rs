@@ -205,23 +205,31 @@ impl Membrane {
         self.push_step(InterceptStep::compile(interceptor));
     }
 
-    /// Appends an already-compiled step (deploy-time construction and the
-    /// reconfiguration journal's rollback path).
+    /// Appends an already-compiled step (deploy-time construction).
     pub fn push_step(&mut self, step: InterceptStep) {
         self.chain.steps.push(step);
         self.chain.recompile();
     }
 
-    /// Splices a step back at `index` in the chain — the rollback half of
-    /// a journaled [`take_interceptor`](Self::take_interceptor): the plan
-    /// recompiles to exactly its pre-removal form, state included.
-    ///
-    /// # Panics
-    ///
-    /// When `index` exceeds the chain length.
+    /// Splices a step back at `index` in the chain (clamped to the chain
+    /// length) — the rollback half of a journaled
+    /// [`take_interceptor`](Self::take_interceptor): the plan recompiles
+    /// to exactly its pre-removal form, state included.
     pub fn insert_step(&mut self, index: usize, step: InterceptStep) {
+        let index = index.min(self.chain.steps.len());
         self.chain.steps.insert(index, step);
         self.chain.recompile();
+    }
+
+    /// Removes and returns the step at chain position `index`, if any
+    /// (recompiles the plan) — the rollback half of an installation.
+    pub fn take_step(&mut self, index: usize) -> Option<InterceptStep> {
+        if index >= self.chain.steps.len() {
+            return None;
+        }
+        let step = self.chain.steps.remove(index);
+        self.chain.recompile();
+        Some(step)
     }
 
     /// The compiled interceptor plan (introspection; the unit the
@@ -256,9 +264,7 @@ impl Membrane {
     /// the plan byte-identically on rollback (recompiles the plan).
     pub fn take_interceptor(&mut self, name: &str) -> Option<(usize, InterceptStep)> {
         let ix = self.chain.steps.iter().position(|s| s.name() == name)?;
-        let step = self.chain.steps.remove(ix);
-        self.chain.recompile();
-        Some((ix, step))
+        self.take_step(ix).map(|step| (ix, step))
     }
 
     /// Number of control units (controllers + interceptors) in this

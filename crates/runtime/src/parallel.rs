@@ -70,10 +70,16 @@
 //! 5. **Reconfiguration.** [`ParallelSystem::reconfigure`] runs one
 //!    journaled [`Reconfiguration`] transaction across the partition —
 //!    the only transaction type, serial and sharded alike: one operation
-//!    per kind, one journal, one rollback and one commit path. Commit
+//!    per kind, one journal of owned pre-images, one undo and one commit
+//!    path. Each step records what it overwrote; undo moves it back
+//!    through setters with no error path, for a failed operation (back to
+//!    where it started) and a refused transaction (back to zero) alike, so
+//!    a rollback cannot fail halfway or reorder the architecture. Commit
 //!    compliance is decided by the design-time validator alone; the
 //!    SOL-015 coupling advisory is computed only when a commit is
 //!    refused, to explain the refusal.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -85,12 +91,13 @@ use std::time::Instant;
 
 use rtsj::thread::Priority;
 use rtsj::time::AbsoluteTime;
+use soleil_core::arch::ArchImage;
 use soleil_core::contract::TimingContract;
-use soleil_core::model::{ComponentId, ComponentKind, Protocol};
+use soleil_core::model::ComponentKind;
 use soleil_core::validate::{parallel_coupling, validate};
 use soleil_core::{Architecture, ValidationReport};
 use soleil_membrane::content::{ContentRegistry, Payload};
-use soleil_membrane::interceptors::{FaultInjector, InterceptStep};
+use soleil_membrane::interceptors::FaultInjector;
 use soleil_membrane::monitor::LatencySnapshot;
 use soleil_membrane::FrameworkError;
 use soleil_patterns::spsc::{spsc_ring, SpscConsumer};
@@ -100,8 +107,7 @@ use crate::spec::{
     AreaSpec, BindingSpec, ComponentSpec, DomainSpec, Mode, ProtocolSpec, SystemSpec,
 };
 use crate::system::{
-    panic_detail, AsyncRepointUndo, CrossOutput, EngineStats, FaultPolicy, MembraneInfo,
-    MonitorSlot, System,
+    panic_detail, CrossOutput, EngineImage, EngineStats, FaultPolicy, MembraneInfo, System,
 };
 use crate::timer::TimerHandle;
 
@@ -276,14 +282,16 @@ enum Carrier {
     },
 }
 
-/// Re-sorts a shard's incoming rings to the consumer-priority drain order
-/// (build does the same once; reconfiguration re-establishes it after a
-/// priority or ring change).
+/// Sorts a shard's incoming rings into drain order: highest consumer
+/// priority first, mirroring the single-engine pending heap, and ring tag
+/// (mint order) among equals. The order is a function of the rings and
+/// their consumers' priorities alone, so build, every reconfiguration and
+/// every rollback arrive at the same order for the same state.
 fn resort_incoming<P: Payload>(shard: &mut Shard<P>) {
     let Shard {
         system, incoming, ..
     } = shard;
-    incoming.sort_by_key(|c| std::cmp::Reverse(system.node_priority(c.slot)));
+    incoming.sort_by_key(|c| (std::cmp::Reverse(system.node_priority(c.slot)), c.tag));
 }
 
 /// Per-shard report of one [`ParallelSystem::run_ticks_instrumented`] run.
@@ -560,11 +568,17 @@ impl<P: Payload> ParallelSystem<P> {
                 let replicated = scoped_owner[aix] == usize::MAX;
                 if replicated || scoped_owner[aix] == shard {
                     let mut local = a.clone();
-                    local.parent = a.parent.map(|p| {
-                        *area_map[shard]
-                            .get(&p)
-                            .expect("parents precede children in a checked spec")
-                    });
+                    local.parent = a
+                        .parent
+                        .map(|p| {
+                            area_map[shard].get(&p).copied().ok_or_else(|| {
+                                FrameworkError::Content(format!(
+                                    "memory area '{}' is declared before its parent",
+                                    a.name
+                                ))
+                            })
+                        })
+                        .transpose()?;
                     area_map[shard].insert(aix, shard_areas[shard].len());
                     shard_areas[shard].push(local);
                 }
@@ -675,14 +689,13 @@ impl<P: Payload> ParallelSystem<P> {
                     tag,
                 });
             }
-            // Drain order: highest consumer priority first, mirroring the
-            // single-engine pending heap.
-            incoming.sort_by_key(|c| std::cmp::Reverse(system.node_priority(c.slot)));
-            shards.push(Shard {
+            let mut built = Shard {
                 label: shard_label(&sub.domains, shard),
                 system,
                 incoming,
-            });
+            };
+            resort_incoming(&mut built);
+            shards.push(built);
         }
 
         let comp_slot: Vec<(usize, usize)> = (0..spec.components.len())
@@ -1539,16 +1552,20 @@ impl<P: Payload> ParallelSystem<P> {
     /// drained, zero messages in flight — the parallel analogue of the
     /// run-to-completion guarantee single-engine reconfiguration gets for
     /// free), then the closure applies operations through the
-    /// [`Reconfiguration`] handle, journaled per shard. On `Ok`
+    /// [`Reconfiguration`] handle, each step journaling what it
+    /// overwrote. On `Ok`
     /// the resulting deployment is re-validated — partition invariants
     /// *and*, for architecture-carrying deployments (see
     /// [`ParallelSystem::build_with_arch`]), the full RTSJ rule set — and
     /// commits only if compliant; substrate charges for rings and
     /// re-homed state are deferred to this point so a refused transaction
-    /// is charge-neutral. On a closure error or validator refusal every
-    /// shard's journal is replayed in reverse, restoring engines, rings,
-    /// spec and architecture byte-identically (witness:
-    /// [`structural_digests`](Self::structural_digests)).
+    /// is charge-neutral. On a closure error or validator refusal the
+    /// journal's pre-images are moved back, newest first — engines, rings,
+    /// spec and architecture come back byte-identically (witnesses:
+    /// [`structural_digests`](Self::structural_digests) and the
+    /// architecture's `Debug` rendering), and the undo has no error path.
+    /// An operation that fails midway undoes its own steps the same way
+    /// and leaves the earlier ones standing.
     ///
     /// # Errors
     ///
@@ -1588,119 +1605,31 @@ enum PendingCharge {
     Immortal { shard: usize, bytes: usize },
 }
 
-/// The architectural half of a rebind: `(client, old server, old server
-/// interface, protocol)`, enough to put the pre-transaction binding back.
-type BindingRecord = (ComponentId, ComponentId, String, Protocol);
-
-/// The architectural half of a domain move: `(component, old domain, new
-/// domain)` containment edges.
-type DomainEdge = (ComponentId, Option<ComponentId>, ComponentId);
-
-/// One applied operation's undo record — the only reconfiguration journal,
-/// shared by serial and sharded deployments. Rollback replays these in
-/// reverse, restoring every shard engine, the ring topology, the shared
-/// spec and the architectural model.
+/// One journal entry: what one step of a reconfiguration operation
+/// overwrote, owned — the only reconfiguration journal, shared by serial
+/// and sharded deployments. [`Reconfiguration::rollback_to`] moves these
+/// back newest first; no arm has an error path, so rollback cannot fail
+/// halfway.
 enum Undo<P> {
-    /// Undo of `start`: stop the slot again.
-    Stop { shard: usize, slot: usize },
-    /// Undo of `stop`: restart the slot.
-    Start { shard: usize, slot: usize },
-    /// Undo of a same-shard synchronous `rebind`.
-    Rebind {
-        shard: usize,
-        client_slot: usize,
-        port: String,
-        old_server_slot: usize,
-        gbix: usize,
-        old_server_g: usize,
-        arch: Option<BindingRecord>,
-    },
-    /// Undo of `rebind_async`'s cross-ring rewiring: retire the installed
-    /// ring, restore the client's compiled binding byte-identically, and
-    /// re-seat the retired consumer endpoint (if the old carrier was a
-    /// ring).
-    AsyncRewire {
-        gbix: usize,
-        old_carrier: Carrier,
-        old_server_g: usize,
-        producer_shard: usize,
-        consumer_shard: usize,
-        installed_tag: u64,
-        engine: AsyncRepointUndo,
-        retired: Option<(usize, CrossIn<P>)>,
-        arch: Option<BindingRecord>,
-    },
-    /// Undo of `reassign_domain`: re-seat the domain (and, for a re-homed
-    /// component, migrate the allocation region back).
-    Domain {
-        shard: usize,
-        slot: usize,
+    /// A shard engine's overwritten state.
+    Engine { shard: usize, image: EngineImage },
+    /// The architectural model's overwritten binding row or containment
+    /// lists, at their original positions.
+    Arch(ArchImage),
+    /// A spec binding's previous server.
+    Server { gbix: usize, server: usize },
+    /// A spec component's previous domain and allocation area.
+    Seat {
         g: usize,
-        old_domain_ix: Option<usize>,
-        old_domain_g: Option<usize>,
-        /// `(old local area ix, old global area ix)` when the move
-        /// re-homed the allocation region.
-        rehome: Option<(usize, usize)>,
-        arch: Option<DomainEdge>,
+        domain: Option<usize>,
+        area: usize,
     },
-    /// Undo of an interceptor installation: remove it again.
-    RemoveInterceptor {
-        shard: usize,
-        slot: usize,
-        name: &'static str,
-    },
-    /// Undo of an interceptor removal: splice the taken step back.
-    InstallStep {
-        shard: usize,
-        slot: usize,
-        index: usize,
-        step: InterceptStep,
-    },
-    /// Undo of a contract attach or detach: put the previous monitor slot
-    /// back, recorded histogram included.
-    Contract {
-        shard: usize,
-        slot: usize,
-        previous: Option<Box<MonitorSlot>>,
-    },
-    /// Undo of `set_fault_policy`: restore the pre-transaction policy.
-    Policy {
-        shard: usize,
-        slot: usize,
-        previous: FaultPolicy,
-    },
-    /// Undo of `set_supervisor`: restore the pre-transaction edge.
-    Supervisor {
-        shard: usize,
-        slot: usize,
-        previous: Option<usize>,
-    },
-}
-
-/// Puts an architectural binding mirrored by
-/// [`Reconfiguration::arch_rebind`] back (op-level failure
-/// recovery and rollback).
-fn arch_unrebind(arch: &mut Architecture, port: &str, record: &BindingRecord) {
-    let (client_id, old_server_id, old_server_if, protocol) = record;
-    assert!(
-        arch.unbind(*client_id, port),
-        "rollback: transaction binding vanished from the architecture"
-    );
-    arch.bind(*client_id, port, *old_server_id, old_server_if, *protocol)
-        .expect("rollback restore of the pre-transaction binding");
-}
-
-/// Moves a component's containment edge from its transaction domain back
-/// to its pre-transaction one (op-level failure recovery and rollback).
-fn restore_domain_edge(arch: &mut Architecture, (comp, old, new): DomainEdge) {
-    assert!(
-        arch.remove_child(new, comp),
-        "rollback: transaction domain edge vanished from the architecture"
-    );
-    if let Some(old) = old {
-        arch.add_child(old, comp)
-            .expect("rollback restore of the pre-transaction domain edge");
-    }
+    /// A spec binding's previous carrier.
+    Carrier { gbix: usize, carrier: Carrier },
+    /// A ring consumer the transaction seated on `shard`.
+    Seated { shard: usize, tag: u64 },
+    /// A ring consumer the transaction retired from `shard`.
+    Retired { shard: usize, ring: CrossIn<P> },
 }
 
 /// The in-flight transaction handle passed to
@@ -1709,8 +1638,9 @@ fn restore_domain_edge(arch: &mut Architecture, (comp, old, new): DomainEdge) {
 /// [`ComponentRef`]s (the partition owns placement — callers never see
 /// shard indices) and refuse a token minted by another deployment with
 /// [`FrameworkError::Content`]. They apply eagerly (later operations
-/// observe earlier ones) and journal their inverses; the whole set reverts
-/// together on failure.
+/// observe earlier ones) and journal what each step overwrote. A failing
+/// operation rolls its own steps back and leaves earlier ones standing;
+/// a failing transaction rolls everything back, through the same undo.
 pub struct Reconfiguration<'s, P: Payload> {
     sys: &'s mut ParallelSystem<P>,
     journal: Vec<Undo<P>>,
@@ -1750,20 +1680,47 @@ impl<'s, P: Payload> Reconfiguration<'s, P> {
             Ok(value)
         });
         if committed.is_err() {
-            self.rollback();
+            self.rollback_to(0);
         }
         committed
     }
 
+    /// Runs one multi-step operation atomically: its steps journal as they
+    /// succeed, and if a later step fails the journal and the deferred
+    /// charges roll back to where the operation found them.
+    fn atomically(
+        &mut self,
+        op: impl FnOnce(&mut Self) -> Result<(), FrameworkError>,
+    ) -> Result<(), FrameworkError> {
+        let (journal, charges) = (self.journal.len(), self.pending_charges.len());
+        let outcome = op(self);
+        if outcome.is_err() {
+            self.rollback_to(journal);
+            self.pending_charges.truncate(charges);
+        }
+        outcome
+    }
+
+    /// Journals what one engine step on `shard` overwrote.
+    fn journal_engine(&mut self, shard: usize, image: EngineImage) {
+        self.journal.push(Undo::Engine { shard, image });
+    }
+
+    /// Points spec binding `gbix` at global component `server`, journaled.
+    fn set_server(&mut self, gbix: usize, server: usize) {
+        let server = std::mem::replace(&mut self.sys.spec.bindings[gbix].server, server);
+        self.journal.push(Undo::Server { gbix, server });
+    }
+
     /// Mirrors a rebind into the architectural model (when the deployment
-    /// carries one): unbind the client port, bind it to the new server's
-    /// same-named interface. Returns the restore record.
+    /// carries one): the client port's binding row is pointed, in place,
+    /// at the new server's same-named interface.
     fn arch_rebind(
         &mut self,
         client: usize,
         port: &str,
         new_server: usize,
-    ) -> Result<Option<BindingRecord>, FrameworkError> {
+    ) -> Result<(), FrameworkError> {
         let ParallelSystem {
             arch,
             mirrored,
@@ -1771,39 +1728,18 @@ impl<'s, P: Payload> Reconfiguration<'s, P> {
             ..
         } = &mut *self.sys;
         if !*mirrored {
-            return Ok(None);
+            return Ok(());
         }
         let id = |g: usize| {
             arch.id_of(&spec.components[g].name)
                 .map_err(|e| FrameworkError::Content(e.to_string()))
         };
         let (client_id, new_server_id) = (id(client)?, id(new_server)?);
-        let old = arch
-            .bindings()
-            .iter()
-            .find(|b| b.client.component == client_id && b.client.interface == port)
-            .ok_or_else(|| {
-                FrameworkError::Binding(format!(
-                    "architecture lost binding for client port '{port}'"
-                ))
-            })?;
-        let record = (
-            client_id,
-            old.server.component,
-            old.server.interface.clone(),
-            old.protocol,
-        );
-        if !arch.unbind(client_id, port) {
-            return Err(FrameworkError::Binding(format!(
-                "architecture lost binding for client port '{port}'"
-            )));
-        }
-        if let Err(e) = arch.bind(client_id, port, new_server_id, &record.2, record.3) {
-            arch.bind(client_id, port, record.1, &record.2, record.3)
-                .expect("restoring a binding that existed before the transaction");
-            return Err(FrameworkError::Binding(e.to_string()));
-        }
-        Ok(Some(record))
+        let image = arch
+            .rebind(client_id, port, new_server_id)
+            .map_err(|e| FrameworkError::Binding(e.to_string()))?;
+        self.journal.push(Undo::Arch(image));
+        Ok(())
     }
 
     /// Stops a component (no-op if already stopped), wherever it was
@@ -1813,13 +1749,7 @@ impl<'s, P: Payload> Reconfiguration<'s, P> {
     ///
     /// [`FrameworkError::Content`] for foreign refs.
     pub fn stop(&mut self, component: ComponentRef) -> Result<(), FrameworkError> {
-        let (shard, slot) = self.sys.locate(component)?;
-        let system = &mut self.sys.shards[shard].system;
-        if system.node_started(slot) {
-            system.stop_at(slot)?;
-            self.journal.push(Undo::Start { shard, slot });
-        }
-        Ok(())
+        self.set_started(component, false)
     }
 
     /// (Re)starts a component (no-op if already started).
@@ -1828,11 +1758,27 @@ impl<'s, P: Payload> Reconfiguration<'s, P> {
     ///
     /// [`FrameworkError::Content`] for foreign refs.
     pub fn start(&mut self, component: ComponentRef) -> Result<(), FrameworkError> {
+        self.set_started(component, true)
+    }
+
+    fn set_started(
+        &mut self,
+        component: ComponentRef,
+        started: bool,
+    ) -> Result<(), FrameworkError> {
         let (shard, slot) = self.sys.locate(component)?;
         let system = &mut self.sys.shards[shard].system;
-        if !system.node_started(slot) {
-            system.start_at(slot)?;
-            self.journal.push(Undo::Stop { shard, slot });
+        if system.node_started(slot) != started {
+            if started {
+                system.start_at(slot)?;
+            } else {
+                system.stop_at(slot)?;
+            }
+            let image = EngineImage::Lifecycle {
+                slot,
+                started: !started,
+            };
+            self.journal_engine(shard, image);
         }
         Ok(())
     }
@@ -1876,51 +1822,37 @@ impl<'s, P: Payload> Reconfiguration<'s, P> {
                 self.sys.shards[ss].label
             )));
         }
-        let old_server_slot = self.sys.shards[cs]
-            .system
-            .sync_target_of(client_slot, port)?;
-        let gbix = self
+        let found = self
             .sys
             .spec
             .bindings
             .iter()
-            .position(|b| {
-                b.client == client
-                    && b.client_port == port
-                    && matches!(b.protocol, ProtocolSpec::Sync)
-            })
-            .ok_or_else(|| {
-                FrameworkError::Binding(format!(
-                    "deployment plan lost binding for client port '{port}'"
-                ))
-            })?;
-        let old_server_g = self.sys.spec.bindings[gbix].server;
-
-        // Architecture first: it runs the stricter checks.
-        let arch = self.arch_rebind(client, port, new_server)?;
-
-        // Engine second; architecture restored if it refuses.
-        if let Err(e) = self.sys.shards[cs]
-            .system
-            .rebind_at(client_slot, port, server_slot)
-        {
-            if let Some(record) = &arch {
-                arch_unrebind(&mut self.sys.arch, port, record);
+            .position(|b| b.client == client && b.client_port == port);
+        let gbix = match found {
+            Some(gbix) if matches!(self.sys.spec.bindings[gbix].protocol, ProtocolSpec::Sync) => {
+                gbix
             }
-            return Err(e);
-        }
-
-        self.sys.spec.bindings[gbix].server = new_server;
-        self.journal.push(Undo::Rebind {
-            shard: cs,
-            client_slot,
-            port: port.to_string(),
-            old_server_slot,
-            gbix,
-            old_server_g,
-            arch,
-        });
-        Ok(())
+            Some(_) => {
+                return Err(FrameworkError::Binding(
+                    "cannot rebind asynchronous bindings at runtime".into(),
+                ))
+            }
+            None => {
+                return Err(FrameworkError::Binding(format!(
+                    "client port '{port}' is unbound"
+                )))
+            }
+        };
+        self.atomically(|txn| {
+            // Architecture first: it runs the stricter checks.
+            txn.arch_rebind(client, port, new_server)?;
+            let image = txn.sys.shards[cs]
+                .system
+                .rebind_at(client_slot, port, server_slot)?;
+            txn.journal_engine(cs, EngineImage::Binding(image));
+            txn.set_server(gbix, new_server);
+            Ok(())
+        })
     }
 
     /// Rebinds `client`'s **asynchronous** `port` to `new_server`,
@@ -1968,105 +1900,88 @@ impl<'s, P: Payload> Reconfiguration<'s, P> {
                 self.sys.spec.components[gclient].name
             )));
         };
-        let old_server_g = self.sys.spec.bindings[gbix].server;
-        let server_port = self.sys.spec.bindings[gbix].server_port.clone();
         let (producer_shard, client_slot) = self.sys.comp_slot[gclient];
         let (consumer_shard, server_slot) = self.sys.comp_slot[gserver];
 
         // The new consumer must provide the same-named server port;
         // resolve it before touching anything.
+        let server_port = &self.sys.spec.bindings[gbix].server_port;
         let port_ix = self.sys.shards[consumer_shard]
             .system
-            .port_ix_of(server_slot, &server_port)?;
+            .port_ix_of(server_slot, server_port)?;
 
-        // Architecture first (stricter checks), then the ring + engine.
-        let arch = self.arch_rebind(gclient, port, gserver)?;
+        self.atomically(|txn| {
+            // Architecture first (stricter checks), then the ring + engine.
+            txn.arch_rebind(gclient, port, gserver)?;
+            let (tx, rx) = spsc_ring::<P>(capacity)?;
+            let image = txn.sys.shards[producer_shard]
+                .system
+                .repoint_async_to_cross(client_slot, port, tx)?;
+            let cross_ix = image.cross_ix.unwrap_or(usize::MAX);
+            txn.journal_engine(producer_shard, EngineImage::Binding(image));
 
-        let slot_bytes = std::mem::size_of::<std::sync::Mutex<Option<P>>>().max(1);
-        let ring = spsc_ring::<P>(capacity)
-            .map_err(FrameworkError::from)
-            .and_then(|(tx, rx)| {
-                self.sys.shards[producer_shard]
-                    .system
-                    .repoint_async_to_cross(client_slot, port, tx)
-                    .map(|undo| (undo, rx))
+            // Retire the old consumer endpoint if the old carrier was a
+            // ring. Quiescence guarantees it is empty; the old producer
+            // entry stays tombstoned in its shard's `cross_out` (nothing
+            // routes to it), so LIFO truncation keeps ring indices valid.
+            let old_carrier = txn.sys.carriers[gbix];
+            if let Carrier::Ring {
+                consumer_shard: old_cs,
+                tag,
+                ..
+            } = old_carrier
+            {
+                let incoming = &mut txn.sys.shards[old_cs].incoming;
+                let pos = incoming.iter().position(|c| c.tag == tag);
+                let Some(pos) = pos.filter(|&pos| incoming[pos].rx.is_empty()) else {
+                    return Err(FrameworkError::Content(format!(
+                        "ring {tag} of client port '{port}' is not an empty consumer \
+                         of shard {old_cs}; refusing to retire it"
+                    )));
+                };
+                let ring = incoming.remove(pos);
+                txn.journal.push(Undo::Retired {
+                    shard: old_cs,
+                    ring,
+                });
+            }
+
+            // Seat the new consumer endpoint (self-rings — producer and
+            // consumer on one shard — are allowed: the drain pass serves
+            // them like any other ring).
+            let tag = txn.sys.next_tag;
+            txn.sys.next_tag += 1;
+            let shard = &mut txn.sys.shards[consumer_shard];
+            shard.incoming.push(CrossIn {
+                rx,
+                slot: server_slot,
+                port_ix,
+                tag,
             });
-        let (engine, rx) = match ring {
-            Ok(pair) => pair,
-            Err(e) => {
-                if let Some(record) = &arch {
-                    arch_unrebind(&mut self.sys.arch, port, record);
-                }
-                return Err(e);
-            }
-        };
+            resort_incoming(shard);
+            txn.journal.push(Undo::Seated {
+                shard: consumer_shard,
+                tag,
+            });
 
-        // Retire the old consumer endpoint if the old carrier was a ring.
-        // Quiescence guarantees it is empty; the old producer entry stays
-        // tombstoned in its shard's `cross_out` (nothing routes to it) —
-        // rollback truncation keeps journal LIFO order intact.
-        let old_carrier = self.sys.carriers[gbix];
-        let retired = if let Carrier::Ring {
-            consumer_shard: old_cs,
-            tag,
-            ..
-        } = old_carrier
-        {
-            let incoming = &mut self.sys.shards[old_cs].incoming;
-            let pos = incoming
-                .iter()
-                .position(|c| c.tag == tag)
-                .expect("carrier table desynced from shard drain set");
-            debug_assert!(
-                incoming[pos].rx.is_empty(),
-                "retiring a non-empty ring inside a quiescence epoch"
+            let carrier = std::mem::replace(
+                &mut txn.sys.carriers[gbix],
+                Carrier::Ring {
+                    producer_shard,
+                    cross_ix,
+                    consumer_shard,
+                    tag,
+                },
             );
-            Some((old_cs, incoming.remove(pos)))
-        } else {
-            None
-        };
-
-        // Seat the new consumer endpoint (self-rings — producer and
-        // consumer on one shard — are allowed: the drain pass serves
-        // them like any other ring).
-        let installed_tag = self.sys.next_tag;
-        self.sys.next_tag += 1;
-        self.sys.shards[consumer_shard].incoming.push(CrossIn {
-            rx,
-            slot: server_slot,
-            port_ix,
-            tag: installed_tag,
-        });
-        resort_incoming(&mut self.sys.shards[consumer_shard]);
-        if let Some((old_cs, _)) = &retired {
-            if *old_cs != consumer_shard {
-                resort_incoming(&mut self.sys.shards[*old_cs]);
-            }
-        }
-
-        self.sys.carriers[gbix] = Carrier::Ring {
-            producer_shard,
-            cross_ix: engine.cross_ix,
-            consumer_shard,
-            tag: installed_tag,
-        };
-        self.sys.spec.bindings[gbix].server = gserver;
-        self.pending_charges.push(PendingCharge::Immortal {
-            shard: producer_shard,
-            bytes: capacity.next_power_of_two() * slot_bytes,
-        });
-        self.journal.push(Undo::AsyncRewire {
-            gbix,
-            old_carrier,
-            old_server_g,
-            producer_shard,
-            consumer_shard,
-            installed_tag,
-            engine,
-            retired,
-            arch,
-        });
-        Ok(())
+            txn.journal.push(Undo::Carrier { gbix, carrier });
+            txn.set_server(gbix, gserver);
+            let slot_bytes = std::mem::size_of::<std::sync::Mutex<Option<P>>>().max(1);
+            txn.pending_charges.push(PendingCharge::Immortal {
+                shard: producer_shard,
+                bytes: capacity.next_power_of_two() * slot_bytes,
+            });
+            Ok(())
+        })
     }
 
     /// Re-homes a component onto another ThreadDomain **of its own
@@ -2099,137 +2014,114 @@ impl<'s, P: Payload> Reconfiguration<'s, P> {
         domain: &str,
     ) -> Result<(), FrameworkError> {
         let g = self.sys.g_of(component)?;
-        let sys = &mut *self.sys;
+        let sys = &*self.sys;
         let (shard, slot) = sys.comp_slot[g];
-        let component = sys.spec.components[g].name.as_str();
         let g_domain = sys.spec.domains.iter().position(|d| d.name == domain);
         let local = sys.shards[shard].system.domain_ix_by_name(domain);
         let (Some(g_domain), Some(new_domain_ix)) = (g_domain, local) else {
             return Err(match sys.shard_of_domain(domain) {
                 Some(owner) => FrameworkError::Unsupported(format!(
                     "domain '{domain}' is materialized on shard {owner} ('{}'); \
-                     '{component}' runs on shard {shard} ('{}') and components \
+                     '{}' runs on shard {shard} ('{}') and components \
                      never migrate across the static domain partition",
-                    sys.shards[owner].label, sys.shards[shard].label
+                    sys.shards[owner].label, sys.spec.components[g].name, sys.shards[shard].label
                 )),
                 None => FrameworkError::Content(format!("unknown thread domain '{domain}'")),
             });
         };
 
-        // Architectural edge dance + area-change detection (mirrored
-        // deployments only — `build` without an architecture reconfigures
-        // the engine alone). The `remove_child` result guards against
-        // indirect membership (the component sits inside a composite
-        // inside the domain): moving the direct edge would not actually
-        // re-home it, so refuse.
-        let mut arch_undo: Option<DomainEdge> = None;
-        let mut rehome_target: Option<String> = None;
-        if sys.mirrored {
-            let arch = &mut sys.arch;
-            let comp = arch
-                .id_of(component)
-                .map_err(|e| FrameworkError::Content(e.to_string()))?;
-            let new_domain_id = arch
-                .id_of(domain)
-                .map_err(|e| FrameworkError::Content(e.to_string()))?;
-            if !matches!(
-                arch.component(new_domain_id).map(|c| &c.kind),
-                Ok(ComponentKind::ThreadDomain(_))
-            ) {
-                return Err(FrameworkError::Content(format!(
-                    "'{domain}' is not a ThreadDomain"
-                )));
-            }
-            let old_domain_id = arch.thread_domain_of(comp).map(|(id, _)| id);
-            let old_area = arch.memory_area_of(comp).map(|(id, _)| id);
-            if let Some(old) = old_domain_id {
-                if !arch.remove_child(old, comp) {
-                    return Err(FrameworkError::Binding(format!(
-                        "'{component}' is only an indirect member of its ThreadDomain; \
-                         reassignment needs a direct edge"
-                    )));
-                }
-            }
-            if let Err(e) = arch.add_child(new_domain_id, comp) {
-                if let Some(old) = old_domain_id {
-                    arch.add_child(old, comp)
-                        .expect("restoring an edge that existed before the transaction");
-                }
-                return Err(FrameworkError::Binding(e.to_string()));
-            }
-            let edge = (comp, old_domain_id, new_domain_id);
-            let new_area = arch.memory_area_of(comp).map(|(id, _)| id);
-            if new_area != old_area {
-                // The domain edge re-homed the allocation region: migrate
-                // it, checkpoint/handoff style, instead of refusing.
-                let name = new_area
-                    .and_then(|id| arch.component(id).ok())
-                    .map(|c| c.name.clone());
-                let Some(name) = name else {
-                    restore_domain_edge(arch, edge);
+        self.atomically(|txn| {
+            let component = txn.sys.spec.components[g].name.clone();
+            let seat = &txn.sys.spec.components[g];
+            let (domain_was, area_was) = (seat.domain, seat.area);
+            txn.journal.push(Undo::Seat {
+                g,
+                domain: domain_was,
+                area: area_was,
+            });
+            // The architectural edge move (mirrored deployments only —
+            // `build` without an architecture reconfigures the engine
+            // alone) and the area it leaves the component in.
+            if let Some(area_name) = txn.arch_move_to_domain(&component, domain)? {
+                let sys = &mut *txn.sys;
+                let system = &mut sys.shards[shard].system;
+                let new_g = sys.spec.areas.iter().position(|a| a.name == area_name);
+                let (Some(new_g), Some(new_ix)) = (new_g, system.area_ix_by_name(&area_name))
+                else {
                     return Err(FrameworkError::Unsupported(format!(
-                        "reassigning '{component}' to domain '{domain}' would move it \
-                         outside every memory area; components keep an allocation region"
+                        "re-homing '{component}' onto memory area '{area_name}' is \
+                         impossible: the area is not materialized on its shard ('{}')",
+                        sys.shards[shard].label
                     )));
                 };
-                rehome_target = Some(name);
+                let image = system.rehome_area_at(slot, new_ix)?;
+                let bytes = system.state_bytes_at(slot);
+                sys.spec.components[g].area = new_g;
+                txn.journal_engine(shard, EngineImage::Area(image));
+                txn.pending_charges.push(PendingCharge::Area {
+                    shard,
+                    area_ix: new_ix,
+                    bytes,
+                });
             }
-            arch_undo = Some(edge);
-        }
 
-        // Engine half: re-home the allocation region first (it can
-        // refuse), then the domain seat (infallible).
-        let mut rehome = None;
-        if let Some(area_name) = rehome_target {
+            let sys = &mut *txn.sys;
             let system = &mut sys.shards[shard].system;
-            let new_g = sys.spec.areas.iter().position(|a| a.name == area_name);
-            let moved = match (new_g, system.area_ix_by_name(&area_name)) {
-                (Some(new_g), Some(new_ix)) => system
-                    .rehome_area_at(slot, new_ix)
-                    .map(|old_ix| (new_g, new_ix, old_ix)),
-                _ => Err(FrameworkError::Unsupported(format!(
-                    "re-homing '{component}' onto memory area '{area_name}' is impossible: \
-                     the area is not materialized on its shard ('{}')",
-                    sys.shards[shard].label
-                ))),
-            };
-            let (new_g, new_ix, old_ix) = match moved {
-                Ok(moved) => moved,
-                Err(e) => {
-                    if let Some(edge) = arch_undo {
-                        restore_domain_edge(&mut sys.arch, edge);
-                    }
-                    return Err(e);
-                }
-            };
-            self.pending_charges.push(PendingCharge::Area {
-                shard,
-                area_ix: new_ix,
-                bytes: sys.shards[shard].system.state_bytes_at(slot),
-            });
-            rehome = Some((
-                old_ix,
-                std::mem::replace(&mut sys.spec.components[g].area, new_g),
-            ));
-        }
+            let domain_ix = system.node_domain_ix(slot);
+            system.set_domain_at(slot, Some(new_domain_ix));
+            sys.spec.components[g].domain = Some(g_domain);
+            // The slot's priority changed with its domain: re-sort the
+            // drain order its shard serves rings in.
+            resort_incoming(&mut sys.shards[shard]);
+            txn.journal_engine(shard, EngineImage::Domain { slot, domain_ix });
+            Ok(())
+        })
+    }
 
-        let system = &mut sys.shards[shard].system;
-        let old_domain_ix = system.node_domain_ix(slot);
-        system.set_domain_at(slot, Some(new_domain_ix));
-        let old_domain_g = sys.spec.components[g].domain.replace(g_domain);
-        // The slot's priority changed with its domain: re-sort the drain
-        // order its shard serves rings in.
-        resort_incoming(&mut sys.shards[shard]);
-        self.journal.push(Undo::Domain {
-            shard,
-            slot,
-            g,
-            old_domain_ix,
-            old_domain_g,
-            rehome,
-            arch: arch_undo,
-        });
-        Ok(())
+    /// The architectural half of [`reassign_domain`](Self::reassign_domain)
+    /// on a mirrored deployment: moves `component`'s direct containment
+    /// edge onto `domain`, journaled. Returns the memory area's name when
+    /// the move put the component under a different one.
+    fn arch_move_to_domain(
+        &mut self,
+        component: &str,
+        domain: &str,
+    ) -> Result<Option<String>, FrameworkError> {
+        if !self.sys.mirrored {
+            return Ok(None);
+        }
+        let arch = &mut self.sys.arch;
+        let content = |e: soleil_core::ModelError| FrameworkError::Content(e.to_string());
+        let comp = arch.id_of(component).map_err(content)?;
+        let new_domain = arch.id_of(domain).map_err(content)?;
+        if !matches!(
+            arch.component(new_domain).map(|c| &c.kind),
+            Ok(ComponentKind::ThreadDomain(_))
+        ) {
+            return Err(FrameworkError::Content(format!(
+                "'{domain}' is not a ThreadDomain"
+            )));
+        }
+        let old_domain = arch.thread_domain_of(comp).map(|(id, _)| id);
+        let old_area = arch.memory_area_of(comp).map(|(id, _)| id);
+        let image = arch
+            .move_child(comp, old_domain, new_domain)
+            .map_err(|e| FrameworkError::Binding(e.to_string()))?;
+        self.journal.push(Undo::Arch(image));
+        let arch = &self.sys.arch;
+        let new_area = arch.memory_area_of(comp).map(|(id, _)| id);
+        if new_area == old_area {
+            return Ok(None);
+        }
+        // The domain edge re-homed the allocation region: migrate it,
+        // checkpoint/handoff style, instead of refusing.
+        match new_area.and_then(|id| arch.component(id).ok()) {
+            Some(area) => Ok(Some(area.name.clone())),
+            None => Err(FrameworkError::Unsupported(format!(
+                "reassigning '{component}' to domain '{domain}' would move it outside \
+                 every memory area; components keep an allocation region"
+            ))),
+        }
     }
 
     /// Installs a
@@ -2247,12 +2139,13 @@ impl<'s, P: Payload> Reconfiguration<'s, P> {
         component: ComponentRef,
     ) -> Result<(), FrameworkError> {
         let (shard, slot) = self.sys.locate(component)?;
-        if self.sys.shards[shard].system.enable_jitter_at(slot)? {
-            self.journal.push(Undo::RemoveInterceptor {
-                shard,
+        if let Some(index) = self.sys.shards[shard].system.enable_jitter_at(slot)? {
+            let image = EngineImage::Step {
                 slot,
-                name: "jitter-monitor",
-            });
+                index,
+                step: None,
+            };
+            self.journal_engine(shard, image);
         }
         Ok(())
     }
@@ -2277,12 +2170,8 @@ impl<'s, P: Payload> Reconfiguration<'s, P> {
         else {
             return Ok(false);
         };
-        self.journal.push(Undo::InstallStep {
-            shard,
-            slot,
-            index,
-            step,
-        });
+        let step = Some(step);
+        self.journal_engine(shard, EngineImage::Step { slot, index, step });
         Ok(true)
     }
 
@@ -2304,11 +2193,7 @@ impl<'s, P: Payload> Reconfiguration<'s, P> {
         let previous = self.sys.shards[shard]
             .system
             .attach_contract_at(slot, contract)?;
-        self.journal.push(Undo::Contract {
-            shard,
-            slot,
-            previous,
-        });
+        self.journal_engine(shard, EngineImage::Monitor { slot, previous });
         Ok(())
     }
 
@@ -2324,11 +2209,8 @@ impl<'s, P: Payload> Reconfiguration<'s, P> {
         let Some(previous) = self.sys.shards[shard].system.detach_contract_at(slot) else {
             return Ok(false);
         };
-        self.journal.push(Undo::Contract {
-            shard,
-            slot,
-            previous: Some(previous),
-        });
+        let previous = Some(previous);
+        self.journal_engine(shard, EngineImage::Monitor { slot, previous });
         Ok(true)
     }
 
@@ -2350,11 +2232,7 @@ impl<'s, P: Payload> Reconfiguration<'s, P> {
         let previous = self.sys.shards[shard]
             .system
             .set_fault_policy_at(slot, policy)?;
-        self.journal.push(Undo::Policy {
-            shard,
-            slot,
-            previous,
-        });
+        self.journal_engine(shard, EngineImage::Policy { slot, previous });
         Ok(())
     }
 
@@ -2381,11 +2259,7 @@ impl<'s, P: Payload> Reconfiguration<'s, P> {
         let previous = self.sys.shards[shard]
             .system
             .set_supervisor_at(slot, sup_slot)?;
-        self.journal.push(Undo::Supervisor {
-            shard,
-            slot,
-            previous,
-        });
+        self.journal_engine(shard, EngineImage::Supervisor { slot, previous });
         Ok(())
     }
 
@@ -2450,153 +2324,36 @@ impl<'s, P: Payload> Reconfiguration<'s, P> {
         }
     }
 
-    /// Replays the journal in reverse — the one rollback — restoring
-    /// engines, ring topology, spec and architecture. Each undo reverses
-    /// an operation that succeeded against a valid state, so failures
-    /// here are framework bugs — surfaced loudly.
-    fn rollback(&mut self) {
-        while let Some(undo) = self.journal.pop() {
+    /// Rolls the journal back to `len` entries, newest first — the one
+    /// undo, for a failed operation (back to where it started) and a
+    /// refused transaction (back to zero). Every entry is a move or an
+    /// infallible setter. Drain order is a function of ring tags and
+    /// consumer priorities, so re-sorting the touched shards after their
+    /// rings and priorities are back restores it exactly.
+    fn rollback_to(&mut self, len: usize) {
+        let sys = &mut *self.sys;
+        let popped = self.journal.len() > len;
+        while self.journal.len() > len {
+            let Some(undo) = self.journal.pop() else {
+                break;
+            };
             match undo {
-                Undo::Stop { shard, slot } => self.sys.shards[shard]
-                    .system
-                    .stop_at(slot)
-                    .expect("rollback stop of a slot started by this transaction"),
-                Undo::Start { shard, slot } => self.sys.shards[shard]
-                    .system
-                    .start_at(slot)
-                    .expect("rollback restart of a slot stopped by this transaction"),
-                Undo::Rebind {
-                    shard,
-                    client_slot,
-                    port,
-                    old_server_slot,
-                    gbix,
-                    old_server_g,
-                    arch,
-                } => {
-                    self.sys.shards[shard]
-                        .system
-                        .rebind_at(client_slot, &port, old_server_slot)
-                        .expect("rollback rebind to the pre-transaction server");
-                    self.sys.spec.bindings[gbix].server = old_server_g;
-                    if let Some(record) = &arch {
-                        arch_unrebind(&mut self.sys.arch, &port, record);
-                    }
+                Undo::Engine { shard, image } => sys.shards[shard].system.restore(image),
+                Undo::Arch(image) => sys.arch.restore(image),
+                Undo::Server { gbix, server } => sys.spec.bindings[gbix].server = server,
+                Undo::Seat { g, domain, area } => {
+                    let seat = &mut sys.spec.components[g];
+                    (seat.domain, seat.area) = (domain, area);
                 }
-                Undo::AsyncRewire {
-                    gbix,
-                    old_carrier,
-                    old_server_g,
-                    producer_shard,
-                    consumer_shard,
-                    installed_tag,
-                    engine,
-                    retired,
-                    arch,
-                } => {
-                    let port = engine.port.clone();
-                    let incoming = &mut self.sys.shards[consumer_shard].incoming;
-                    let pos = incoming
-                        .iter()
-                        .position(|c| c.tag == installed_tag)
-                        .expect("rollback: ring installed by this transaction vanished");
-                    debug_assert!(
-                        incoming[pos].rx.is_empty(),
-                        "rollback of a ring that carried traffic inside the epoch"
-                    );
-                    incoming.remove(pos);
-                    self.sys.shards[producer_shard]
-                        .system
-                        .restore_async_binding(engine);
-                    if let Some((old_cs, cin)) = retired {
-                        self.sys.shards[old_cs].incoming.push(cin);
-                        resort_incoming(&mut self.sys.shards[old_cs]);
-                    }
-                    resort_incoming(&mut self.sys.shards[consumer_shard]);
-                    self.sys.carriers[gbix] = old_carrier;
-                    self.sys.spec.bindings[gbix].server = old_server_g;
-                    if let Some(record) = &arch {
-                        arch_unrebind(&mut self.sys.arch, &port, record);
-                    }
+                Undo::Carrier { gbix, carrier } => sys.carriers[gbix] = carrier,
+                Undo::Seated { shard, tag } => {
+                    sys.shards[shard].incoming.retain(|c| c.tag != tag);
                 }
-                Undo::Domain {
-                    shard,
-                    slot,
-                    g,
-                    old_domain_ix,
-                    old_domain_g,
-                    rehome,
-                    arch,
-                } => {
-                    self.sys.shards[shard]
-                        .system
-                        .set_domain_at(slot, old_domain_ix);
-                    if let Some((old_local, old_g)) = rehome {
-                        self.sys.shards[shard]
-                            .system
-                            .rehome_area_at(slot, old_local)
-                            .expect("rollback re-homing onto the pre-transaction region");
-                        self.sys.spec.components[g].area = old_g;
-                    }
-                    self.sys.spec.components[g].domain = old_domain_g;
-                    resort_incoming(&mut self.sys.shards[shard]);
-                    if let Some(edge) = arch {
-                        restore_domain_edge(&mut self.sys.arch, edge);
-                    }
-                }
-                Undo::RemoveInterceptor { shard, slot, name } => {
-                    let removed = self.sys.shards[shard]
-                        .system
-                        .remove_interceptor_at(slot, name)
-                        .expect("rollback removal in a mode that installed it");
-                    assert!(
-                        removed,
-                        "rollback: interceptor installed by this transaction vanished"
-                    );
-                }
-                Undo::InstallStep {
-                    shard,
-                    slot,
-                    index,
-                    step,
-                } => {
-                    self.sys.shards[shard]
-                        .system
-                        .insert_step_at(slot, index, step)
-                        .expect("rollback reinstall in a mode that removed it");
-                }
-                Undo::Contract {
-                    shard,
-                    slot,
-                    previous,
-                } => {
-                    self.sys.shards[shard]
-                        .system
-                        .restore_contract_at(slot, previous);
-                }
-                Undo::Policy {
-                    shard,
-                    slot,
-                    previous,
-                } => {
-                    self.sys.shards[shard]
-                        .system
-                        .set_fault_policy_at(slot, previous)
-                        .expect("rollback restore of a policy set by this transaction");
-                }
-                Undo::Supervisor {
-                    shard,
-                    slot,
-                    previous,
-                } => {
-                    self.sys.shards[shard]
-                        .system
-                        .set_supervisor_at(slot, previous)
-                        .expect(
-                            "rollback restore of a supervisor edge valid before the transaction",
-                        );
-                }
+                Undo::Retired { shard, ring } => sys.shards[shard].incoming.push(ring),
             }
+        }
+        if popped {
+            sys.shards.iter_mut().for_each(resort_incoming);
         }
     }
 }
@@ -2967,6 +2724,7 @@ fn shard_worker<P: Payload>(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::spec::{Activation, BufferPlacement};
@@ -3843,6 +3601,7 @@ mod tests {
         let [producer, consumer_b, consumer_c] = refs(&sys);
         sys.run_ticks(10).unwrap();
         let digests = sys.structural_digests();
+        let arch = format!("{:?}", sys.architecture());
 
         let err = sys
             .reconfigure(|txn| -> Result<(), FrameworkError> {
@@ -3862,6 +3621,11 @@ mod tests {
             sys.structural_digests(),
             digests,
             "rollback restores the re-homed region and the ring topology"
+        );
+        assert_eq!(
+            format!("{:?}", sys.architecture()),
+            arch,
+            "rollback restores bindings and containment edges in place"
         );
 
         sys.run_ticks(10).unwrap();

@@ -416,27 +416,86 @@ struct PendingKey {
     seq: Reverse<u64>,
 }
 
-/// Undo record of a [`System::repoint_async_to_cross`]: the
-/// pre-transaction binding state of the repointed client port, restorable
-/// byte-identically by [`System::restore_async_binding`]. Carried by the
-/// parallel runtime's per-shard undo journals.
-#[derive(Debug)]
-pub(crate) struct AsyncRepointUndo {
-    pub(crate) client_slot: usize,
-    pub(crate) port: String,
-    /// Index the repoint appended to `cross_out` (LIFO rollback truncates
-    /// back to it).
-    pub(crate) cross_ix: usize,
-    old: OldAsyncBinding,
+/// What one engine step of a reconfiguration overwrote, owned so that
+/// [`System::restore`] puts it back with a move or a setter that has no
+/// error path. The parallel runtime's journal carries these: rolling a
+/// step back cannot fail.
+pub(crate) enum EngineImage {
+    /// A slot's lifecycle state before `stop_at`/`start_at`.
+    Lifecycle { slot: usize, started: bool },
+    /// One client port's compiled binding before a rebind or a cross-ring
+    /// repoint.
+    Binding(BindingImage),
+    /// A slot's domain seat before `set_domain_at`.
+    Domain {
+        slot: usize,
+        domain_ix: Option<usize>,
+    },
+    /// A slot's allocation region before `rehome_area_at`.
+    Area(AreaImage),
+    /// A membrane's interceptor step at its chain position; `None` marks
+    /// the step a transaction installed there.
+    Step {
+        slot: usize,
+        index: usize,
+        step: Option<InterceptStep>,
+    },
+    /// A slot's contract monitor, recorded histogram included.
+    Monitor {
+        slot: usize,
+        previous: Option<Box<MonitorSlot>>,
+    },
+    /// A slot's fault policy.
+    Policy { slot: usize, previous: FaultPolicy },
+    /// A slot's supervisor edge.
+    Supervisor {
+        slot: usize,
+        previous: Option<usize>,
+    },
 }
 
-/// The mode-specific half of [`AsyncRepointUndo`].
-#[derive(Debug)]
-enum OldAsyncBinding {
-    /// SOLEIL: the membrane's previous `BindingTarget`.
-    Reified(BindingTarget),
-    /// MERGE-ALL: the previous compiled dispatch header.
-    Compiled(DispatchHeader),
+/// What [`System::rebind_at`] or [`System::repoint_async_to_cross`]
+/// overwrote in one client port — the one binding image both rebinds
+/// journal.
+pub(crate) struct BindingImage {
+    /// The ring producer a cross repoint appended to `cross_out` (the
+    /// newest entry: journals restore LIFO, so truncating to it disturbs
+    /// no ring index baked into another compiled slot).
+    pub(crate) cross_ix: Option<usize>,
+    plans: Vec<PlanImage>,
+}
+
+/// What [`System::rehome_area_at`] overwrote: the slot's region, scope
+/// chain and activation chain range, and every dispatch plan recompiled
+/// against the new region.
+pub(crate) struct AreaImage {
+    slot: usize,
+    area_ix: usize,
+    scope_chain: Vec<AreaId>,
+    chain: (u32, u16),
+    plans: Vec<PlanImage>,
+}
+
+/// One compiled dispatch plan as a step overwrote it.
+enum PlanImage {
+    /// SOLEIL: a membrane's binding target, keyed by client port.
+    Target {
+        slot: usize,
+        port: String,
+        target: BindingTarget,
+    },
+    /// SOLEIL: a binding's fused gate and memory interceptor.
+    Gate {
+        binding_ix: usize,
+        gate: FastGate,
+        interceptor: Option<MemoryInterceptor>,
+    },
+    /// MERGE-ALL: the header of one compiled binding row.
+    Header {
+        slot: usize,
+        row: usize,
+        header: DispatchHeader,
+    },
 }
 
 /// A cross-domain output requested at build time: the named client port of
@@ -1047,7 +1106,7 @@ impl<P: Payload> System<P> {
 
         // --- Start everything (paper: activation is framework-managed).
         for slot in 0..system.nodes.len() {
-            system.start_slot(slot)?;
+            system.set_started(slot, true);
         }
         Ok(system)
     }
@@ -1901,15 +1960,29 @@ impl<P: Payload> System<P> {
     // Lifecycle & reconfiguration
     // -----------------------------------------------------------------
 
-    fn start_slot(&mut self, slot: usize) -> Result<(), FrameworkError> {
+    /// Starts or stops `slot`: its content's hook, its lifecycle flag and
+    /// its membrane's LifecycleController. A stop also disarms a pending
+    /// supervised restart — an explicit stop overrides supervision, so the
+    /// restart must not revive the component behind the user's back.
+    fn set_started(&mut self, slot: usize, started: bool) {
         if let Some(c) = self.nodes[slot].content.as_mut() {
-            c.on_start();
+            if started {
+                c.on_start();
+            } else {
+                c.on_stop();
+            }
         }
-        self.nodes[slot].started = true;
+        self.nodes[slot].started = started;
         if let Some(m) = self.membranes.get_mut(slot).and_then(|m| m.as_mut()) {
-            m.lifecycle.start();
+            if started {
+                m.lifecycle.start();
+            } else {
+                m.lifecycle.stop();
+            }
         }
-        Ok(())
+        if !started {
+            self.cancel_restart_timer(slot);
+        }
     }
 
     fn reject_static(&self) -> Result<(), FrameworkError> {
@@ -1924,16 +1997,7 @@ impl<P: Payload> System<P> {
     /// Stops `slot`: invocations refused until restarted.
     pub(crate) fn stop_at(&mut self, slot: usize) -> Result<(), FrameworkError> {
         self.reject_static()?;
-        if let Some(c) = self.nodes[slot].content.as_mut() {
-            c.on_stop();
-        }
-        self.nodes[slot].started = false;
-        if let Some(m) = self.membranes.get_mut(slot).and_then(|m| m.as_mut()) {
-            m.lifecycle.stop();
-        }
-        // An explicit stop overrides supervision: a pending supervised
-        // restart must not revive the component behind the user's back.
-        self.cancel_restart_timer(slot);
+        self.set_started(slot, false);
         Ok(())
     }
 
@@ -1953,79 +2017,46 @@ impl<P: Payload> System<P> {
     /// (Re)starts `slot`.
     pub(crate) fn start_at(&mut self, slot: usize) -> Result<(), FrameworkError> {
         self.reject_static()?;
-        self.start_slot(slot)
-    }
-
-    /// The slot currently targeted by `client_slot`'s synchronous `port`
-    /// (used by the transactional reconfiguration journal).
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::Binding`] for unbound or asynchronous ports;
-    /// [`FrameworkError::Unsupported`] under ULTRA-MERGE.
-    pub(crate) fn sync_target_of(
-        &self,
-        client_slot: usize,
-        port: &str,
-    ) -> Result<usize, FrameworkError> {
-        self.reject_static()?;
-        let (target_slot, is_async) = match self.mode {
-            Mode::Soleil => {
-                let m = self.membranes[client_slot]
-                    .as_ref()
-                    .expect("membrane present outside invocation");
-                let t = m.binding.resolve(port)?;
-                (t.target_slot, t.is_async)
-            }
-            Mode::MergeAll => {
-                let b = self.compiled[client_slot]
-                    .iter()
-                    .find(|b| b.port.as_ref() == port)
-                    .ok_or_else(|| {
-                        FrameworkError::Binding(format!("client port '{port}' is unbound"))
-                    })?;
-                (b.header.target_slot, b.header.is_async)
-            }
-            Mode::UltraMerge => unreachable!("rejected above"),
-        };
-        if is_async {
-            return Err(FrameworkError::Binding(
-                "cannot rebind asynchronous bindings at runtime".into(),
-            ));
-        }
-        Ok(target_slot)
+        self.set_started(slot, true);
+        Ok(())
     }
 
     /// Slot-indexed rebinding (the engine half of the transactional path:
     /// SOLEIL goes through the membrane's BindingController, MERGE-ALL
-    /// patches the compiled slot).
+    /// patches the compiled slot). Returns what it overwrote, for
+    /// [`restore`](Self::restore).
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::Binding`] for unbound or asynchronous ports or a
+    /// missing server interface; [`FrameworkError::Unsupported`] under
+    /// ULTRA-MERGE.
     pub(crate) fn rebind_at(
         &mut self,
         client_slot: usize,
         port: &str,
         server_slot: usize,
-    ) -> Result<(), FrameworkError> {
+    ) -> Result<BindingImage, FrameworkError> {
         self.reject_static()?;
-        match self.mode {
+        let refuse_async =
+            || FrameworkError::Binding("cannot rebind asynchronous bindings at runtime".into());
+        let client_area = self.areas[self.nodes[client_slot].area_ix].id;
+        let new_area = self.areas[self.nodes[server_slot].area_ix].id;
+        let (pattern, enter_path) = self.pattern_between(client_area, new_area);
+        let outer_on_stack = self.outer_proof(client_slot, pattern, new_area);
+        let plans = match self.mode {
             Mode::Soleil => {
-                let (old, server_port_name) = {
+                let (binding_ix, server_port_name) = {
                     let m = self.membranes[client_slot]
                         .as_ref()
                         .expect("membrane present outside invocation");
-                    let t = m.binding.resolve(port)?.clone();
-                    let name = t.server_port.clone();
-                    (t, name)
+                    let t = m.binding.resolve(port)?;
+                    if t.is_async {
+                        return Err(refuse_async());
+                    }
+                    (t.binding_ix, t.server_port.clone())
                 };
-                if old.is_async {
-                    return Err(FrameworkError::Binding(
-                        "cannot rebind asynchronous bindings at runtime".into(),
-                    ));
-                }
                 let new_port_ix = port_index(&self.nodes[server_slot], &server_port_name)?;
-                let new_area = self.areas[self.nodes[server_slot].area_ix].id;
-                let client_area = self.areas[self.nodes[client_slot].area_ix].id;
-                let (pattern, enter_path) = self.pattern_between(client_area, new_area);
-                let outer_on_stack = self.outer_proof(client_slot, pattern, new_area);
                 let plan = MemoryPlan {
                     pattern,
                     server_area: new_area,
@@ -2036,55 +2067,48 @@ impl<P: Payload> System<P> {
                 // Rebinding recompiles the binding's fused gate along with
                 // its interceptor: the plan stays a deploy/rebind-time
                 // artifact, never consulted-and-derived per call.
-                self.mem_gates[old.binding_ix] = plan.fast_gate();
-                self.mem_interceptors[old.binding_ix] = Some(MemoryInterceptor::new(plan));
+                let gate = std::mem::replace(&mut self.mem_gates[binding_ix], plan.fast_gate());
+                let interceptor =
+                    self.mem_interceptors[binding_ix].replace(MemoryInterceptor::new(plan));
                 let m = self.membranes[client_slot]
                     .as_mut()
                     .expect("membrane present outside invocation");
-                m.binding.bind(
-                    port.to_string(),
+                let target = m.binding.bind(
+                    port,
                     BindingTarget {
                         target_slot: server_slot,
                         server_port: server_port_name,
                         server_port_ix: new_port_ix,
                         is_async: false,
                         buffer_index: None,
-                        binding_ix: old.binding_ix,
+                        binding_ix,
                         cross: false,
                     },
                 );
-                // `bind` replaces in place, so compiled jump indices stay
-                // valid; recompiling anyway keeps the plan an invariant of
-                // this one (cold) site rather than of `bind`'s internals.
-                m.binding.compile_jump(&self.port_names);
-                self.dispatch_generation = mint_dispatch_generation();
-                Ok(())
+                let mut plans = vec![PlanImage::Gate {
+                    binding_ix,
+                    gate,
+                    interceptor,
+                }];
+                plans.extend(target.map(|target| PlanImage::Target {
+                    slot: client_slot,
+                    port: port.to_string(),
+                    target,
+                }));
+                plans
             }
             Mode::MergeAll => {
-                let client_area = self.areas[self.nodes[client_slot].area_ix].id;
-                let new_area = self.areas[self.nodes[server_slot].area_ix].id;
-                let (pattern, enter_path) = self.pattern_between(client_area, new_area);
-                let server_port_name = {
-                    let b = self.compiled[client_slot]
-                        .iter()
-                        .find(|b| b.port.as_ref() == port)
-                        .ok_or_else(|| {
-                            FrameworkError::Binding(format!("client port '{port}' is unbound"))
-                        })?;
-                    if b.header.is_async {
-                        return Err(FrameworkError::Binding(
-                            "cannot rebind asynchronous bindings at runtime".into(),
-                        ));
-                    }
-                    self.nodes[b.header.target_slot].server_ports[b.header.server_port_ix as usize]
-                        .to_string()
-                };
+                let (row, old) = self.compiled_row(client_slot, port)?;
+                if old.is_async {
+                    return Err(refuse_async());
+                }
+                let server_port_name = self.nodes[old.target_slot].server_ports
+                    [old.server_port_ix as usize]
+                    .to_string();
                 let new_port_ix = port_index(&self.nodes[server_slot], &server_port_name)?;
-                let outer_on_stack = self.outer_proof(client_slot, pattern, new_area);
                 // The replacement header comes from the same constructor
-                // build uses; the arena's window reuse means rebinding back
-                // to an earlier target restores the old header
-                // byte-identically (transactional rollback relies on it).
+                // build uses; the arena's window reuse keeps rebinding back
+                // to an earlier target byte-identical.
                 let header = DispatchHeader::compile(
                     &mut self.enter_arena,
                     server_slot,
@@ -2097,16 +2121,40 @@ impl<P: Payload> System<P> {
                     outer_on_stack,
                     false,
                 );
-                let b = self.compiled[client_slot]
-                    .iter_mut()
-                    .find(|b| b.port.as_ref() == port)
-                    .expect("found above");
-                b.header = header;
-                self.recompile_port_jump();
-                Ok(())
+                vec![self.swap_header(client_slot, row, header)]
             }
             Mode::UltraMerge => unreachable!("handled above"),
-        }
+        };
+        // `bind` replaces in place, so compiled jump indices stay valid;
+        // recompiling anyway keeps the plan an invariant of this one
+        // (cold) site rather than of `bind`'s internals.
+        self.recompile_port_jump();
+        Ok(BindingImage {
+            cross_ix: None,
+            plans,
+        })
+    }
+
+    /// The row index and header of `slot`'s compiled binding for `port`
+    /// (MERGE-ALL).
+    fn compiled_row(
+        &self,
+        slot: usize,
+        port: &str,
+    ) -> Result<(usize, DispatchHeader), FrameworkError> {
+        self.compiled[slot]
+            .iter()
+            .enumerate()
+            .find(|(_, b)| b.port.as_ref() == port)
+            .map(|(row, b)| (row, b.header))
+            .ok_or_else(|| FrameworkError::Binding(format!("client port '{port}' is unbound")))
+    }
+
+    /// Installs `header` in `slot`'s compiled binding `row`, returning the
+    /// header it overwrote.
+    fn swap_header(&mut self, slot: usize, row: usize, header: DispatchHeader) -> PlanImage {
+        let header = std::mem::replace(&mut self.compiled[slot][row].header, header);
+        PlanImage::Header { slot, row, header }
     }
 
     /// The build-time access proof for `ExecuteInOuter` bindings: the
@@ -2262,8 +2310,8 @@ impl<P: Payload> System<P> {
     /// dispatch state of every local binding touching the slot at either
     /// end — all through the same constructors build uses, with arena
     /// window reuse, so re-homing back restores every header
-    /// byte-identically (the transactional-rollback guarantee). Returns
-    /// the previous area index; rollback is the symmetric call.
+    /// byte-identically. Returns what it overwrote, for
+    /// [`restore`](Self::restore).
     ///
     /// The substrate charge for the migrated state is **not** made here:
     /// callers defer it to commit time (see [`System::charge_area`]) so a
@@ -2278,16 +2326,24 @@ impl<P: Payload> System<P> {
         &mut self,
         slot: usize,
         new_area_ix: usize,
-    ) -> Result<usize, FrameworkError> {
+    ) -> Result<AreaImage, FrameworkError> {
         self.reject_static()?;
         if new_area_ix >= self.areas.len() {
             return Err(FrameworkError::Content(format!(
                 "re-home target area index {new_area_ix} out of range"
             )));
         }
-        let old_area_ix = self.nodes[slot].area_ix;
-        if new_area_ix == old_area_ix {
-            return Ok(old_area_ix);
+        let plan = self.activation_plans[slot];
+        let mut image = AreaImage {
+            slot,
+            area_ix: self.nodes[slot].area_ix,
+            scope_chain: Vec::new(),
+            chain: (plan.chain_off, plan.chain_len),
+            plans: Vec::new(),
+        };
+        if new_area_ix == image.area_ix {
+            image.scope_chain = self.nodes[slot].scope_chain.clone();
+            return Ok(image);
         }
         // The scoped chain the component's thread now stands in (the same
         // walk as build).
@@ -2301,21 +2357,23 @@ impl<P: Payload> System<P> {
         }
         scope_chain.reverse();
         self.nodes[slot].area_ix = new_area_ix;
-        self.nodes[slot].scope_chain = scope_chain;
+        image.scope_chain = std::mem::replace(&mut self.nodes[slot].scope_chain, scope_chain);
         let (chain_off, chain_len) =
             intern_enter_path(&mut self.enter_arena, &self.nodes[slot].scope_chain);
         self.activation_plans[slot].chain_off = chain_off;
         self.activation_plans[slot].chain_len = chain_len as u16;
-        self.recompile_bindings_touching(slot);
+        image.plans = self.recompile_bindings_touching(slot);
         self.recompile_port_jump();
-        Ok(old_area_ix)
+        Ok(image)
     }
 
     /// Recompiles the memory plan of every **local** binding with `slot`
     /// at either end — a re-homing changed the areas those plans were
     /// computed from. Cross-ring slots are untouched: their dispatch is
-    /// settled on the consumer's shard, not here.
-    fn recompile_bindings_touching(&mut self, slot: usize) {
+    /// settled on the consumer's shard, not here. Returns the plans it
+    /// overwrote.
+    fn recompile_bindings_touching(&mut self, slot: usize) -> Vec<PlanImage> {
+        let mut overwritten = Vec::new();
         match self.mode {
             Mode::Soleil => {
                 let mut touched: Vec<(usize, usize, usize)> = Vec::new();
@@ -2342,8 +2400,12 @@ impl<P: Payload> System<P> {
                         transient_scope: None,
                         outer_on_stack,
                     };
-                    self.mem_gates[bix] = plan.fast_gate();
-                    self.mem_interceptors[bix] = Some(MemoryInterceptor::new(plan));
+                    overwritten.push(PlanImage::Gate {
+                        binding_ix: bix,
+                        gate: std::mem::replace(&mut self.mem_gates[bix], plan.fast_gate()),
+                        interceptor: self.mem_interceptors[bix]
+                            .replace(MemoryInterceptor::new(plan)),
+                    });
                 }
             }
             Mode::MergeAll => {
@@ -2373,11 +2435,12 @@ impl<P: Payload> System<P> {
                         outer_on_stack,
                         false,
                     );
-                    self.compiled[c][i].header = header;
+                    overwritten.push(self.swap_header(c, i, header));
                 }
             }
             Mode::UltraMerge => unreachable!("re-homing is gated by reject_static"),
         }
+        overwritten
     }
 
     /// Repoints a client's **asynchronous** port onto a freshly installed
@@ -2386,7 +2449,7 @@ impl<P: Payload> System<P> {
     /// across the domain partition. The ring index is appended to
     /// `cross_out` and the binding's compiled slot is recompiled with
     /// `is_cross` set, exactly the shape build gives deploy-time rings.
-    /// Returns the undo record for the per-shard journal.
+    /// Returns what it overwrote, for [`restore`](Self::restore).
     ///
     /// # Errors
     ///
@@ -2397,28 +2460,25 @@ impl<P: Payload> System<P> {
         client_slot: usize,
         port: &str,
         tx: SpscProducer<P>,
-    ) -> Result<AsyncRepointUndo, FrameworkError> {
+    ) -> Result<BindingImage, FrameworkError> {
         self.reject_static()?;
+        let refuse_sync = || {
+            FrameworkError::Binding(format!(
+                "client port '{port}' is synchronous; cross-domain rings carry \
+                 asynchronous bindings only"
+            ))
+        };
         let cross_ix = self.cross_out.len();
-        let old = match self.mode {
+        let plan = match self.mode {
             Mode::Soleil => {
-                let old = {
-                    let m = self.membranes[client_slot]
-                        .as_ref()
-                        .expect("membrane present outside invocation");
-                    m.binding.resolve(port)?.clone()
-                };
-                if !old.is_async {
-                    return Err(FrameworkError::Binding(format!(
-                        "client port '{port}' is synchronous; cross-domain rings carry \
-                         asynchronous bindings only"
-                    )));
-                }
                 let m = self.membranes[client_slot]
                     .as_mut()
                     .expect("membrane present outside invocation");
-                m.binding.bind(
-                    port.to_string(),
+                if !m.binding.resolve(port)?.is_async {
+                    return Err(refuse_sync());
+                }
+                let target = m.binding.bind(
+                    port,
                     BindingTarget {
                         target_slot: usize::MAX,
                         server_port: String::new(),
@@ -2429,25 +2489,17 @@ impl<P: Payload> System<P> {
                         cross: true,
                     },
                 );
-                m.binding.compile_jump(&self.port_names);
-                OldAsyncBinding::Reified(old)
+                target.map(|target| PlanImage::Target {
+                    slot: client_slot,
+                    port: port.to_string(),
+                    target,
+                })
             }
             Mode::MergeAll => {
-                let old = {
-                    let b = self.compiled[client_slot]
-                        .iter()
-                        .find(|b| b.port.as_ref() == port)
-                        .ok_or_else(|| {
-                            FrameworkError::Binding(format!("client port '{port}' is unbound"))
-                        })?;
-                    if !b.header.is_async {
-                        return Err(FrameworkError::Binding(format!(
-                            "client port '{port}' is synchronous; cross-domain rings carry \
-                             asynchronous bindings only"
-                        )));
-                    }
-                    b.header
-                };
+                let (row, old) = self.compiled_row(client_slot, port)?;
+                if !old.is_async {
+                    return Err(refuse_sync());
+                }
                 // Same header shape build compiles for deploy-time rings.
                 let header = DispatchHeader::compile(
                     &mut self.enter_arena,
@@ -2461,51 +2513,91 @@ impl<P: Payload> System<P> {
                     false,
                     true,
                 );
-                let b = self.compiled[client_slot]
-                    .iter_mut()
-                    .find(|b| b.port.as_ref() == port)
-                    .expect("found above");
-                b.header = header;
-                OldAsyncBinding::Compiled(old)
+                Some(self.swap_header(client_slot, row, header))
             }
             Mode::UltraMerge => unreachable!("rejected above"),
         };
         self.cross_out.push(tx);
         self.recompile_port_jump();
-        Ok(AsyncRepointUndo {
-            client_slot,
-            port: port.to_string(),
-            cross_ix,
-            old,
+        Ok(BindingImage {
+            cross_ix: Some(cross_ix),
+            plans: plan.into_iter().collect(),
         })
     }
 
-    /// Rolls back a [`System::repoint_async_to_cross`]: the appended ring
-    /// producer is retired (journals replay LIFO, so it is necessarily the
-    /// newest `cross_out` entry — truncation cannot disturb ring indices
-    /// baked into other compiled slots) and the previous binding state is
-    /// restored byte-identically.
-    pub(crate) fn restore_async_binding(&mut self, undo: AsyncRepointUndo) {
-        debug_assert_eq!(
-            undo.cross_ix + 1,
-            self.cross_out.len(),
-            "async repoint rollback out of journal order"
-        );
-        self.cross_out.truncate(undo.cross_ix);
-        match undo.old {
-            OldAsyncBinding::Reified(t) => {
-                let m = self.membranes[undo.client_slot]
-                    .as_mut()
-                    .expect("membrane present outside invocation");
-                m.binding.bind(undo.port, t);
-                m.binding.compile_jump(&self.port_names);
+    /// Puts back what one reconfiguration step overwrote — the one undo
+    /// of the reconfiguration journal, for failed operations and refused
+    /// transactions alike. Every arm is a move or a setter with no error
+    /// path, so a rollback cannot fail halfway.
+    pub(crate) fn restore(&mut self, image: EngineImage) {
+        match image {
+            EngineImage::Lifecycle { slot, started } => self.set_started(slot, started),
+            EngineImage::Binding(BindingImage { cross_ix, plans }) => {
+                if let Some(ix) = cross_ix {
+                    self.cross_out.truncate(ix);
+                }
+                self.restore_plans(plans);
             }
-            OldAsyncBinding::Compiled(h) => {
-                let b = self.compiled[undo.client_slot]
-                    .iter_mut()
-                    .find(|b| b.port.as_ref() == undo.port.as_str())
-                    .expect("repointed binding still present");
-                b.header = h;
+            EngineImage::Domain { slot, domain_ix } => self.set_domain_at(slot, domain_ix),
+            EngineImage::Area(AreaImage {
+                slot,
+                area_ix,
+                scope_chain,
+                chain: (chain_off, chain_len),
+                plans,
+            }) => {
+                self.nodes[slot].area_ix = area_ix;
+                self.nodes[slot].scope_chain = scope_chain;
+                self.activation_plans[slot].chain_off = chain_off;
+                self.activation_plans[slot].chain_len = chain_len;
+                self.restore_plans(plans);
+            }
+            EngineImage::Step { slot, index, step } => {
+                if let Some(m) = self.membranes.get_mut(slot).and_then(Option::as_mut) {
+                    match step {
+                        Some(step) => m.insert_step(index, step),
+                        None => drop(m.take_step(index)),
+                    }
+                }
+            }
+            EngineImage::Monitor { slot, previous } => {
+                self.activation_plans[slot].monitor_ix = if previous.is_some() {
+                    slot as u16
+                } else {
+                    u16::MAX
+                };
+                self.monitors[slot] = previous;
+            }
+            EngineImage::Policy { slot, previous } => {
+                self.put_fault_policy(slot, previous);
+            }
+            EngineImage::Supervisor { slot, previous } => {
+                self.supervisors[slot].supervisor = previous.map(|s| s as u32);
+            }
+        }
+    }
+
+    /// Moves overwritten dispatch plans back, newest first, then
+    /// recompiles the jump tables (a new dispatch generation).
+    fn restore_plans(&mut self, plans: Vec<PlanImage>) {
+        for plan in plans.into_iter().rev() {
+            match plan {
+                PlanImage::Target { slot, port, target } => {
+                    if let Some(m) = self.membranes.get_mut(slot).and_then(Option::as_mut) {
+                        m.binding.bind(port, target);
+                    }
+                }
+                PlanImage::Gate {
+                    binding_ix,
+                    gate,
+                    interceptor,
+                } => {
+                    self.mem_gates[binding_ix] = gate;
+                    self.mem_interceptors[binding_ix] = interceptor;
+                }
+                PlanImage::Header { slot, row, header } => {
+                    self.compiled[slot][row].header = header;
+                }
             }
         }
         self.recompile_port_jump();
@@ -2649,18 +2741,23 @@ impl<P: Payload> System<P> {
     /// Installs a [`JitterMonitor`](soleil_membrane::interceptors::JitterMonitor)
     /// in a live component's membrane — *membrane-level* reconfiguration,
     /// available only where membranes are reified (SOLEIL mode; the
-    /// journaled `install_jitter_monitor` transaction op). True when a
-    /// monitor was newly installed (the plan recompiled).
-    pub(crate) fn enable_jitter_at(&mut self, slot: usize) -> Result<bool, FrameworkError> {
+    /// journaled `install_jitter_monitor` transaction op). Returns the
+    /// chain position of a newly installed monitor (the plan recompiled);
+    /// `None` when one was already installed.
+    pub(crate) fn enable_jitter_at(
+        &mut self,
+        slot: usize,
+    ) -> Result<Option<usize>, FrameworkError> {
         self.require_soleil("membrane reconfiguration")?;
         let m = self.membranes[slot]
             .as_mut()
             .expect("membrane present outside invocation");
-        if m.interceptor("jitter-monitor").is_none() {
-            m.push_interceptor(Box::new(soleil_membrane::interceptors::JitterMonitor::new()));
-            return Ok(true);
+        if m.interceptor("jitter-monitor").is_some() {
+            return Ok(None);
         }
-        Ok(false)
+        let index = m.plan().len();
+        m.push_interceptor(Box::new(soleil_membrane::interceptors::JitterMonitor::new()));
+        Ok(Some(index))
     }
 
     /// Removes the named interceptor from a slot's membrane, returning its
@@ -2677,39 +2774,6 @@ impl<P: Payload> System<P> {
             .as_mut()
             .expect("membrane present outside invocation")
             .take_interceptor(name))
-    }
-
-    /// Splices a step back into a slot's membrane at its old chain
-    /// position — the rollback half of [`take_interceptor_at`]
-    /// (SOLEIL mode only; the plan recompiles).
-    ///
-    /// [`take_interceptor_at`]: Self::take_interceptor_at
-    pub(crate) fn insert_step_at(
-        &mut self,
-        slot: usize,
-        index: usize,
-        step: InterceptStep,
-    ) -> Result<(), FrameworkError> {
-        self.require_soleil("membrane reconfiguration")?;
-        self.membranes[slot]
-            .as_mut()
-            .expect("membrane present outside invocation")
-            .insert_step(index, step);
-        Ok(())
-    }
-
-    /// Removes the named interceptor from a slot's membrane; true when one
-    /// was removed (SOLEIL mode only; undo of a journaled installation).
-    pub(crate) fn remove_interceptor_at(
-        &mut self,
-        slot: usize,
-        name: &str,
-    ) -> Result<bool, FrameworkError> {
-        self.require_soleil("membrane reconfiguration")?;
-        Ok(self.membranes[slot]
-            .as_mut()
-            .expect("membrane present outside invocation")
-            .remove_interceptor(name))
     }
 
     /// Inter-activation gaps retained by the jitter monitor in `slot`, in
@@ -2862,19 +2926,6 @@ impl<P: Payload> System<P> {
             self.activation_plans[slot].monitor_ix = u16::MAX;
         }
         prev
-    }
-
-    /// Puts back contract state captured by
-    /// [`attach_contract_at`](Self::attach_contract_at) /
-    /// [`detach_contract_at`](Self::detach_contract_at) — the rollback
-    /// half of journaled contract operations.
-    pub(crate) fn restore_contract_at(&mut self, slot: usize, previous: Option<Box<MonitorSlot>>) {
-        self.activation_plans[slot].monitor_ix = if previous.is_some() {
-            slot as u16
-        } else {
-            u16::MAX
-        };
-        self.monitors[slot] = previous;
     }
 
     /// The timing contract attached to `slot`, if any.
@@ -3266,15 +3317,19 @@ impl<P: Payload> System<P> {
         if slot >= self.nodes.len() {
             return Err(FrameworkError::Content(format!("bad slot {slot}")));
         }
-        let prev = self.supervisors[slot].policy;
+        Ok(self.put_fault_policy(slot, policy))
+    }
+
+    /// Installs `policy`, returning the previous one. The old policy's
+    /// pending restart must not fire under the new one: rollback restores
+    /// policies through this same setter, so a rolled-back `Restart`
+    /// policy disarms its timer automatically.
+    fn put_fault_policy(&mut self, slot: usize, policy: FaultPolicy) -> FaultPolicy {
+        let prev = std::mem::replace(&mut self.supervisors[slot].policy, policy);
         if prev != policy {
-            // The old policy's pending restart must not fire under the new
-            // one: rollback restores policies through this same path, so a
-            // rolled-back `Restart` policy disarms its timer automatically.
             self.cancel_restart_timer(slot);
         }
-        self.supervisors[slot].policy = policy;
-        Ok(prev)
+        prev
     }
 
     /// Declares (or clears, with `None`) `slot`'s supervisor in the
@@ -4557,8 +4612,14 @@ mod tests {
         }
         let gaps = sys.jitter_at(middle).unwrap();
         assert_eq!(gaps.len(), 4, "5 monitored activations -> 4 gaps");
-        assert!(sys.remove_interceptor_at(middle, "jitter-monitor").unwrap());
-        assert!(!sys.remove_interceptor_at(middle, "jitter-monitor").unwrap());
+        assert!(sys
+            .take_interceptor_at(middle, "jitter-monitor")
+            .unwrap()
+            .is_some());
+        assert!(sys
+            .take_interceptor_at(middle, "jitter-monitor")
+            .unwrap()
+            .is_none());
 
         // Merged modes refuse: membranes are not reified.
         let mut merged = System::build(&spec, Mode::MergeAll, &registry()).unwrap();
@@ -5155,7 +5216,10 @@ mod tests {
         assert!(sys.contract_report().is_compliant());
 
         // Restore puts the exact monitor — history included — back.
-        sys.restore_contract_at(head, Some(taken));
+        sys.restore(EngineImage::Monitor {
+            slot: head,
+            previous: Some(taken),
+        });
         assert_eq!(sys.deadline_misses(), 1);
         assert_eq!(sys.latency_snapshot_at(head).unwrap().activations, 1);
     }

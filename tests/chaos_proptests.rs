@@ -4,6 +4,11 @@
 //! keep its books: every pushed message is either delivered or
 //! counted-dropped, quarantine is monotonic until a restart, and the
 //! whole run replays bit-identically from the same seeds.
+//!
+//! The control-plane properties at the end fail random reconfiguration
+//! batches instead: whatever step fails, the deployment must come back
+//! exactly as it was, and a failed operation must leave no trace in a
+//! batch that commits.
 
 use proptest::prelude::*;
 use soleil::prelude::*;
@@ -588,5 +593,357 @@ proptest! {
             stats.delivered_messages + stats.quarantine_drops,
             "ledger leak under subtree restarts"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Control-plane chaos: random reconfiguration batches that fail
+// ---------------------------------------------------------------------------
+
+/// The control-plane fixture. Three shard groups when sharded:
+/// `{producer}`, `{consumerB, consumerC, svc1, svc2, svcHeap}` (coupled
+/// by synchronous bindings) and `{consumerD}`. `producer` fans out over
+/// three rings; `consumerB` (NHRT) calls two immortal services,
+/// `consumerC` (RT) calls a heap service — so rebinding an NHRT client
+/// onto `svcHeap`, or moving `consumerC` into an NHRT domain, is refused
+/// at commit by SOL-006.
+const CTL_COMPONENTS: [&str; 7] = [
+    "producer",
+    "consumerB",
+    "consumerC",
+    "consumerD",
+    "svc1",
+    "svc2",
+    "svcHeap",
+];
+const CTL_SYNC_PORTS: [(&str, &str); 3] = [
+    ("consumerB", "svc"),
+    ("consumerB", "aux"),
+    ("consumerC", "log"),
+];
+const CTL_SYNC_SERVERS: [&str; 5] = ["svc1", "svc2", "svcHeap", "consumerC", "consumerD"];
+const CTL_CONSUMERS: [&str; 3] = ["consumerB", "consumerC", "consumerD"];
+/// `E` sits in no memory area: moving a component there fails after the
+/// architectural edge moved, inside the operation.
+const CTL_DOMAINS: [&str; 5] = ["A", "B", "C", "D", "E"];
+const CTL_ACTIVES: [&str; 4] = ["producer", "consumerB", "consumerC", "consumerD"];
+
+fn ctl_arch() -> ValidatedArchitecture {
+    let mut b = BusinessView::new("ctl-chaos");
+    b.active_periodic("producer", "10ms").unwrap();
+    b.content("producer", "Fan").unwrap();
+    for c in CTL_CONSUMERS {
+        b.active_sporadic(c).unwrap();
+        b.content(c, "Count").unwrap();
+        b.provide(c, "in", "I").unwrap();
+    }
+    for s in ["svc1", "svc2", "svcHeap"] {
+        b.passive(s).unwrap();
+        b.content(s, "Count").unwrap();
+        b.provide(s, "in", "I").unwrap();
+    }
+    for (i, c) in CTL_CONSUMERS.iter().enumerate() {
+        let port = format!("out{i}");
+        b.require("producer", &port, "I").unwrap();
+        b.bind_async("producer", &port, c, "in", 8).unwrap();
+    }
+    for ((client, port), server) in CTL_SYNC_PORTS
+        .into_iter()
+        .zip(["svc1", "svc2", "svcHeap"])
+        .chain([(("consumerB", "peer"), "consumerC")])
+    {
+        b.require(client, port, "I").unwrap();
+        b.bind_sync(client, port, server, "in").unwrap();
+    }
+    let mut flow = DesignFlow::new(b);
+    for (domain, kind, priority, member) in [
+        ("A", ThreadKind::NoHeapRealtime, 30, "producer"),
+        ("B", ThreadKind::NoHeapRealtime, 25, "consumerB"),
+        ("C", ThreadKind::Realtime, 20, "consumerC"),
+        ("D", ThreadKind::Realtime, 15, "consumerD"),
+    ] {
+        flow.thread_domain(domain, kind, priority, &[member])
+            .unwrap();
+        let members: &[&str] = if domain == "B" {
+            &["B", "svc1", "svc2"]
+        } else {
+            &[domain]
+        };
+        flow.memory_area(
+            &format!("Imm{domain}"),
+            MemoryKind::Immortal,
+            Some(64 * 1024),
+            members,
+        )
+        .unwrap();
+    }
+    flow.memory_area("Heap", MemoryKind::Heap, None, &["svcHeap"])
+        .unwrap();
+    flow.thread_domain("E", ThreadKind::Realtime, 12, &[])
+        .unwrap();
+    flow.merge().unwrap().into_validated().unwrap()
+}
+
+/// One control-plane operation; component and port fields index the
+/// `CTL_*` tables.
+#[derive(Debug, Clone, Copy)]
+enum CtlOp {
+    Stop(usize),
+    Start(usize),
+    Rebind {
+        port: usize,
+        server: usize,
+    },
+    RebindAsync {
+        port: usize,
+        server: usize,
+    },
+    Reassign {
+        active: usize,
+        domain: usize,
+    },
+    InstallJitter(usize),
+    RemoveJitter(usize),
+    AttachContract(usize),
+    DetachContract(usize),
+    Policy {
+        component: usize,
+        isolate: bool,
+    },
+    Supervisor {
+        component: usize,
+        supervisor: Option<usize>,
+    },
+}
+
+fn ctl_op_strategy() -> impl Strategy<Value = CtlOp> {
+    let comp = 0..CTL_COMPONENTS.len();
+    prop_oneof![
+        comp.clone().prop_map(CtlOp::Stop),
+        comp.clone().prop_map(CtlOp::Start),
+        (0..CTL_SYNC_PORTS.len(), 0..CTL_SYNC_SERVERS.len())
+            .prop_map(|(port, server)| CtlOp::Rebind { port, server }),
+        (0..CTL_CONSUMERS.len(), 0..CTL_CONSUMERS.len())
+            .prop_map(|(port, server)| CtlOp::RebindAsync { port, server }),
+        (0..CTL_ACTIVES.len(), 0..CTL_DOMAINS.len())
+            .prop_map(|(active, domain)| CtlOp::Reassign { active, domain }),
+        comp.clone().prop_map(CtlOp::InstallJitter),
+        comp.clone().prop_map(CtlOp::RemoveJitter),
+        comp.clone().prop_map(CtlOp::AttachContract),
+        comp.clone().prop_map(CtlOp::DetachContract),
+        (comp.clone(), 0..2usize).prop_map(|(component, isolate)| CtlOp::Policy {
+            component,
+            isolate: isolate == 1
+        }),
+        // A supervisor index past the table clears the edge.
+        (comp, 0..CTL_COMPONENTS.len() + 1).prop_map(|(component, supervisor)| {
+            CtlOp::Supervisor {
+                component,
+                supervisor: (supervisor < CTL_COMPONENTS.len()).then_some(supervisor),
+            }
+        }),
+    ]
+}
+
+/// A serial deployment or a three-shard partition of the fixture, behind
+/// the one control plane both share.
+enum CtlTarget {
+    Serial(Deployment<u64>),
+    Sharded(ParallelSystem<u64>),
+}
+
+impl CtlTarget {
+    fn new(mode: Mode, sharded: bool) -> CtlTarget {
+        let arch = ctl_arch();
+        let registry = registry(CTL_CONSUMERS.len());
+        if sharded {
+            let sys = deploy_parallel(&arch, mode, &registry).unwrap();
+            assert_eq!(sys.shard_count(), 3);
+            CtlTarget::Sharded(sys)
+        } else {
+            CtlTarget::Serial(deploy(&arch, mode, &registry).unwrap())
+        }
+    }
+
+    fn sys(&mut self) -> &mut ParallelSystem<u64> {
+        match self {
+            CtlTarget::Serial(dep) => dep,
+            CtlTarget::Sharded(sys) => sys,
+        }
+    }
+
+    /// What a reconfiguration may change, rendered: every shard's
+    /// structural digest and substrate usage, the architecture's
+    /// components, bindings and containment lists (everything its `Debug`
+    /// shows but the name index, a `HashMap` whose order differs between
+    /// two deployments), and each component's membrane (SOLEIL) and
+    /// supervision edge.
+    fn observe(&mut self) -> String {
+        let sys = self.sys();
+        let arch = sys.architecture();
+        let containment: Vec<_> = arch
+            .components()
+            .iter()
+            .map(|c| (arch.children_of(c.id()), arch.parents_of(c.id())))
+            .collect();
+        let mut out = format!(
+            "{:?}\n{:?}\n{:?}\n{containment:?}\n",
+            sys.structural_digests(),
+            arch.components(),
+            arch.bindings()
+        );
+        for shard in 0..sys.shard_count() {
+            let stats = sys.shard_system(shard).memory().all_stats();
+            out += &format!("{stats:?}\n");
+        }
+        for name in CTL_COMPONENTS {
+            let c = sys.resolve(name).unwrap();
+            let membrane = sys.membrane_info(c).ok();
+            let supervisor = sys
+                .supervisor_of(c)
+                .unwrap()
+                .map(|s| sys.name_of(s).unwrap());
+            out += &format!("{name}: {membrane:?} ^{supervisor:?}\n");
+        }
+        out
+    }
+}
+
+/// Applies `op` inside an open transaction.
+fn apply_ctl(
+    txn: &mut Reconfiguration<'_, u64>,
+    refs: &[ComponentRef],
+    op: CtlOp,
+) -> Result<(), FrameworkError> {
+    let of = |name: &str| refs[CTL_COMPONENTS.iter().position(|c| *c == name).unwrap()];
+    match op {
+        CtlOp::Stop(c) => txn.stop(refs[c]),
+        CtlOp::Start(c) => txn.start(refs[c]),
+        CtlOp::Rebind { port, server } => {
+            let (client, port) = CTL_SYNC_PORTS[port];
+            txn.rebind(of(client), port, of(CTL_SYNC_SERVERS[server]))
+        }
+        CtlOp::RebindAsync { port, server } => txn.rebind_async(
+            of("producer"),
+            &format!("out{port}"),
+            of(CTL_CONSUMERS[server]),
+        ),
+        CtlOp::Reassign { active, domain } => {
+            txn.reassign_domain(of(CTL_ACTIVES[active]), CTL_DOMAINS[domain])
+        }
+        CtlOp::InstallJitter(c) => txn.install_jitter_monitor(refs[c]),
+        CtlOp::RemoveJitter(c) => txn.remove_jitter_monitor(refs[c]).map(drop),
+        CtlOp::AttachContract(c) => txn.attach_contract(
+            refs[c],
+            TimingContract::new().with_deadline(RelativeTime::from_millis(5)),
+        ),
+        CtlOp::DetachContract(c) => txn.detach_contract(refs[c]).map(drop),
+        CtlOp::Policy { component, isolate } => txn.set_fault_policy(
+            refs[component],
+            if isolate {
+                FaultPolicy::Isolate
+            } else {
+                FaultPolicy::Escalate
+            },
+        ),
+        CtlOp::Supervisor {
+            component,
+            supervisor,
+        } => txn.set_supervisor(refs[component], supervisor.map(|s| refs[s])),
+    }
+}
+
+fn ctl_refs(sys: &ParallelSystem<u64>) -> Vec<ComponentRef> {
+    CTL_COMPONENTS
+        .iter()
+        .map(|n| sys.resolve(n).unwrap())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A batch that fails — its closure errs at step `fail_at`, an
+    /// operation is refused (and propagated), or the commit-time validator
+    /// refuses the result — leaves every shard's structural digest and
+    /// substrate usage, the architecture and every membrane exactly as
+    /// they were.
+    #[test]
+    fn a_failed_batch_changes_nothing(
+        ops in proptest::collection::vec(ctl_op_strategy(), 1..8),
+        fail_at in 0usize..10,
+        soleil in 0..2usize,
+        sharded in 0..2usize,
+    ) {
+        let mode = if soleil == 1 { Mode::Soleil } else { Mode::MergeAll };
+        let mut target = CtlTarget::new(mode, sharded == 1);
+        let before = target.observe();
+        let sys = target.sys();
+        let arch = format!("{:?}", sys.architecture());
+        let refs = ctl_refs(sys);
+        let outcome = sys.reconfigure(|txn| {
+            for (i, &op) in ops.iter().enumerate() {
+                if i == fail_at {
+                    return Err(FrameworkError::Content("chaos".into()));
+                }
+                apply_ctl(txn, &refs, op)?;
+            }
+            Ok(())
+        });
+        if outcome.is_err() {
+            prop_assert_eq!(&format!("{:?}", target.sys().architecture()), &arch);
+            prop_assert_eq!(target.observe(), before, "{:?}", outcome);
+        }
+    }
+
+    /// Per-operation atomicity: a closure that ignores its failed
+    /// operations gets the same commit verdict as a twin deployment that
+    /// runs the batch without them, and leaves exactly what the twin
+    /// leaves — the batch's result when both commit, the untouched
+    /// deployment when the validator refuses both.
+    #[test]
+    fn ignored_failed_ops_leave_no_trace(
+        ops in proptest::collection::vec(ctl_op_strategy(), 1..8),
+        soleil in 0..2usize,
+        sharded in 0..2usize,
+    ) {
+        let mode = if soleil == 1 { Mode::Soleil } else { Mode::MergeAll };
+        let mut target = CtlTarget::new(mode, sharded == 1);
+        let before = target.observe();
+        let sys = target.sys();
+        let refs = ctl_refs(sys);
+        let mut failed = Vec::new();
+        let outcome = sys.reconfigure(|txn| {
+            for (i, &op) in ops.iter().enumerate() {
+                if apply_ctl(txn, &refs, op).is_err() {
+                    failed.push(i);
+                }
+            }
+            Ok(())
+        });
+        if outcome.is_err() {
+            // The commit refused the batch: nothing may remain of it.
+            prop_assert_eq!(target.observe(), before, "{:?}", outcome);
+        }
+        let mut twin = CtlTarget::new(mode, sharded == 1);
+        let sys = twin.sys();
+        let refs = ctl_refs(sys);
+        let twin_outcome = sys.reconfigure(|txn| {
+            for (i, &op) in ops.iter().enumerate() {
+                if !failed.contains(&i) {
+                    apply_ctl(txn, &refs, op)?;
+                }
+            }
+            Ok(())
+        });
+        prop_assert_eq!(
+            outcome.is_ok(),
+            twin_outcome.is_ok(),
+            "verdicts differ: {:?} vs {:?} (failed ops {:?})",
+            outcome,
+            twin_outcome,
+            failed
+        );
+        prop_assert_eq!(target.observe(), twin.observe(), "failed ops {:?}", failed);
     }
 }

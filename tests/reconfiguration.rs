@@ -397,9 +397,14 @@ fn validator_refuses_illegal_rebind_and_rolls_back() {
     bv.content("svc-imm", "A").unwrap();
     bv.content("svc-heap", "B").unwrap();
     bv.require("caller", "svc", "ISvc").unwrap();
+    // A second binding declared after `svc`: a rollback that re-appends
+    // the restored binding instead of putting it back in place reorders
+    // the table.
+    bv.require("caller", "audit", "ISvc").unwrap();
     bv.provide("svc-imm", "svc", "ISvc").unwrap();
     bv.provide("svc-heap", "svc", "ISvc").unwrap();
     bv.bind_sync("caller", "svc", "svc-imm", "svc").unwrap();
+    bv.bind_sync("caller", "audit", "svc-imm", "svc").unwrap();
     let mut flow = DesignFlow::new(bv);
     flow.thread_domain("nhrt", ThreadKind::NoHeapRealtime, 30, &["caller"])
         .unwrap();
